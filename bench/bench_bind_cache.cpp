@@ -8,21 +8,16 @@
 // the search nodes avoided.  Correctness is asserted, not sampled: the two
 // fronts and the query count (`solver_calls`) must be bit-identical — the
 // cache may only change *how* a verdict is obtained, never the verdict.
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <limits>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "bind/bind_cache.hpp"
-#include "bind/eca.hpp"
-#include "flex/activatability.hpp"
 #include "gen/presets.hpp"
-#include "spec/compiled.hpp"
 #include "spec/paper_models.hpp"
 
 namespace sdf {
@@ -140,97 +135,6 @@ void print_cache_savings(JsonObject& doc) {
               table.to_ascii().c_str());
 }
 
-// ---- warm-cache probe cost: epoch-snapshot reads vs a lock per probe ------
-
-/// Per-query overhead of the read path on a warm cache, where every query is
-/// a hit.  The snapshot loop is the shipped path: one atomic acquire-load,
-/// then an in-place frontier scan.  The mutexed loop runs the *same* probes
-/// behind a global lock, the serialization every reader paid before the
-/// epoch-snapshot rewrite (and a lower bound on it — the old path also
-/// deep-copied the witness under the lock).
-void print_read_overhead(JsonObject& doc) {
-  bench::section(
-      "binding cache: warm-cache probe cost, snapshot read vs lock per probe");
-
-  const SpecificationGraph spec = models::make_settop_spec();
-  const CompiledSpec cs(spec);
-
-  // Query set: full allocation, every drop-one-unit neighbor, and the ECAs
-  // activatable under the full allocation — the shape of neighboring §4
-  // stream entries that makes cross-allocation hits the common case.
-  AllocSet full = cs.make_alloc_set();
-  for (std::size_t i = 0; i < full.size(); ++i) full.set(i);
-  std::vector<AllocSet> allocs{full};
-  for (std::size_t u = 0; u < full.size(); ++u) {
-    AllocSet a = full;
-    a.reset(u);
-    allocs.push_back(a);
-  }
-  const Activatability act(cs, full);
-  const std::vector<Eca> ecas = enumerate_ecas(cs.problem(), act.clusters());
-
-  BindCache cache;
-  for (const AllocSet& a : allocs)
-    for (const Eca& e : ecas) (void)cache.solve(cs, a, e);
-  const BindCacheStats warm = cache.stats();
-
-  using Clock = std::chrono::steady_clock;
-  const std::size_t queries = allocs.size() * ecas.size();
-  constexpr int kPasses = 200;
-  const auto probe_all = [&] {
-    std::size_t feasible = 0;
-    for (const AllocSet& a : allocs)
-      for (const Eca& e : ecas) feasible += cache.solve(cs, a, e).has_value();
-    return feasible;
-  };
-
-  double ns_snapshot = std::numeric_limits<double>::infinity();
-  double ns_mutexed = std::numeric_limits<double>::infinity();
-  std::mutex probe_mutex;
-  for (int round = 0; round < 5; ++round) {
-    std::size_t sink = 0;
-    auto t0 = Clock::now();
-    for (int p = 0; p < kPasses; ++p) sink += probe_all();
-    const double snap_ns =
-        std::chrono::duration<double, std::nano>(Clock::now() - t0).count();
-    t0 = Clock::now();
-    for (int p = 0; p < kPasses; ++p) {
-      for (const AllocSet& a : allocs)
-        for (const Eca& e : ecas) {
-          std::lock_guard<std::mutex> lock(probe_mutex);
-          sink += cache.solve(cs, a, e).has_value();
-        }
-    }
-    const double mutex_ns =
-        std::chrono::duration<double, std::nano>(Clock::now() - t0).count();
-    benchmark::DoNotOptimize(sink);
-    ns_snapshot = std::min(ns_snapshot, snap_ns / (kPasses * queries));
-    ns_mutexed = std::min(ns_mutexed, mutex_ns / (kPasses * queries));
-  }
-
-  const BindCacheStats after = cache.stats();
-  if (after.misses != warm.misses) die("read_overhead", "probe pass missed");
-
-  Table table({"queries", "entries", "ns/hit snapshot", "ns/hit mutexed",
-               "lock overhead", "snapshot reads"});
-  table.add_row({std::to_string(queries), std::to_string(after.entries),
-                 format_double(ns_snapshot, 2), format_double(ns_mutexed, 2),
-                 format_double(ns_mutexed - ns_snapshot, 2) + " ns",
-                 std::to_string(after.snapshot_reads)});
-  std::printf("%s", table.to_ascii().c_str());
-
-  JsonObject ro{
-      {"queries", Json(queries)},
-      {"entries", Json(static_cast<double>(after.entries))},
-      {"ns_per_hit_snapshot", Json(ns_snapshot)},
-      {"ns_per_hit_mutexed", Json(ns_mutexed)},
-      {"snapshot_reads", Json(static_cast<double>(after.snapshot_reads))},
-      {"publishes", Json(static_cast<double>(after.publishes))},
-      {"publish_retries", Json(static_cast<double>(after.publish_retries))},
-  };
-  doc.emplace_back("read_overhead", Json(std::move(ro)));
-}
-
 // ---- google-benchmark timings for the hot paths ---------------------------
 
 void BM_ExploreCacheOff(benchmark::State& state) {
@@ -260,7 +164,6 @@ int main(int argc, char** argv) {
   doc.emplace_back("bench", sdf::Json("bind_cache"));
   doc.emplace_back("host", sdf::bench::host_metadata());
   sdf::print_cache_savings(doc);
-  sdf::print_read_overhead(doc);
   {
     std::ofstream out("BENCH_bind_cache.json");
     out << sdf::Json(std::move(doc)).dump(2) << '\n';

@@ -16,8 +16,15 @@ TESTS=(util_test dyn_bitset_test explore_test bind_test bind_cache_test
 cmake -B "$BUILD" -DSDF_SANITIZE="$SANITIZER"
 cmake --build "$BUILD" --target "${TESTS[@]}" -j "$(nproc)"
 
+# Every suite runs even after one fails, so a race in an early suite cannot
+# hide one in a later suite; the script still exits non-zero if any failed.
+FAILED=()
 for t in "${TESTS[@]}"; do
   echo "==================== $t (${SANITIZER}san) ===================="
-  "$BUILD/tests/$t"
+  "$BUILD/tests/$t" || FAILED+=("$t")
 done
+if ((${#FAILED[@]})); then
+  echo "SANITIZER CHECKS FAILED (${SANITIZER}): ${FAILED[*]}" >&2
+  exit 1
+fi
 echo "SANITIZER CHECKS PASSED (${SANITIZER})"

@@ -341,16 +341,21 @@ bool SpecAnalysis::relaxation_infeasible(
 bool SpecAnalysis::eca_infeasible(const AllocSet& alloc, const Eca& eca) const {
   const std::shared_ptr<const CompiledFlat> flat = cs_.flat(eca.selection);
   if (flat == nullptr) return false;  // cannot reason: leave it to the solver
+  return eca_infeasible(alloc, *flat);
+}
+
+bool SpecAnalysis::eca_infeasible(const AllocSet& alloc,
+                                  const CompiledFlat& flat) const {
   std::vector<std::pair<std::size_t, std::size_t>> edges;
-  edges.reserve(flat->graph.edges.size());
-  for (const auto& [from, to] : flat->graph.edges) {
-    const std::size_t i = flat->index_of[from.index()];
-    const std::size_t j = flat->index_of[to.index()];
+  edges.reserve(flat.graph.edges.size());
+  for (const auto& [from, to] : flat.graph.edges) {
+    const std::size_t i = flat.index_of[from.index()];
+    const std::size_t j = flat.index_of[to.index()];
     if (i == CompiledFlat::npos || j == CompiledFlat::npos) continue;
     edges.emplace_back(i, j);
   }
-  return relaxation_infeasible(alloc, flat->graph.vertices, flat->demand,
-                               flat->footprint, edges);
+  return relaxation_infeasible(alloc, flat.graph.vertices, flat.demand,
+                               flat.footprint, edges);
 }
 
 bool SpecAnalysis::allocation_infeasible(const AllocSet& alloc) const {

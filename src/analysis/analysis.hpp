@@ -134,6 +134,10 @@ class SpecAnalysis {
   /// skip the search.  False proves nothing.
   [[nodiscard]] bool eca_infeasible(const AllocSet& alloc,
                                     const Eca& eca) const;
+  /// The same proof attempt on the ECA's flattening, for callers that
+  /// already hold it (the binding cache pins one per ECA).
+  [[nodiscard]] bool eca_infeasible(const AllocSet& alloc,
+                                    const CompiledFlat& flat) const;
 
   /// ECA-independent form over the mandatory core (processes active in
   /// *every* elementary activation): true proves no activation of the

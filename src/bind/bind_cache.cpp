@@ -52,9 +52,14 @@ struct FeasibleEntry {
   Binding witness;  ///< a feasible binding using only units in `alloc`
 };
 
-/// Per-ECA frontier: antichains of minimal feasible and maximal infeasible
-/// allocations.  Immutable once referenced by a published snapshot.
-struct Frontier {
+}  // namespace
+
+/// One ECA's cache entry: its pinned flattening plus the antichains of
+/// minimal feasible and maximal infeasible allocations.  `flat` is set when
+/// the entry is created and never changes; the frontiers are guarded by the
+/// shard mutex.
+struct BindCache::Entry {
+  std::shared_ptr<const CompiledFlat> flat;
   std::vector<FeasibleEntry> minimal_feasible;
   std::vector<DynBitset> maximal_infeasible;
 
@@ -63,18 +68,11 @@ struct Frontier {
   }
 };
 
-/// One shard's published state: an immutable key → frontier map.  Copying a
-/// snapshot copies shared_ptrs, not frontiers — a publish deep-copies only
-/// the one frontier it extends.
-using Snapshot =
-    std::unordered_map<EcaKey, std::shared_ptr<const Frontier>, EcaKeyHash>;
-using SnapshotPtr = std::shared_ptr<const Snapshot>;
-
-}  // namespace
-
 struct BindCache::Shard {
-  /// Never null; readers acquire-load and scan without any lock.
-  std::atomic<SnapshotPtr> snapshot{std::make_shared<const Snapshot>()};
+  std::mutex mutex;
+  /// Node-based map: entry addresses stay valid while the map grows, so a
+  /// `Slot` can keep pointing at its entry.
+  std::unordered_map<EcaKey, Entry, EcaKeyHash> map;
 };
 
 BindCache::BindCache(std::size_t shard_count) {
@@ -91,33 +89,61 @@ BindCache::Shard& BindCache::shard_for(
   return *shards_[hash_key(key) % shards_.size()];
 }
 
+BindCache::Slot BindCache::pin(const CompiledSpec& cs, const Eca& eca) {
+  EcaKey key = make_key(eca);
+  Shard& shard = shard_for(key);
+  const auto slot_of = [&shard](Entry& entry) {
+    Slot slot;
+    slot.shard_ = &shard;
+    slot.entry_ = &entry;
+    slot.flat_ = entry.flat.get();
+    return slot;
+  };
+  {
+    const std::lock_guard<std::mutex> lock(shard.mutex);
+    if (const auto it = shard.map.find(key); it != shard.map.end())
+      return slot_of(it->second);
+  }
+  // First sight of this ECA: flatten outside the shard lock (the flatten
+  // cache synchronizes itself).  A worker racing on the same ECA may pin
+  // first; its flattening is the same memoized one and wins.
+  std::shared_ptr<const CompiledFlat> flat = cs.flat(eca.selection);
+  const std::lock_guard<std::mutex> lock(shard.mutex);
+  const auto [it, inserted] = shard.map.try_emplace(std::move(key));
+  if (inserted) it->second.flat = std::move(flat);
+  return slot_of(it->second);
+}
+
 std::optional<Binding> BindCache::solve(const CompiledSpec& cs,
                                         const AllocSet& alloc, const Eca& eca,
+                                        const SolverOptions& options,
+                                        SolverStats* stats) {
+  return solve(cs, alloc, pin(cs, eca), options, stats);
+}
+
+std::optional<Binding> BindCache::solve(const CompiledSpec& cs,
+                                        const AllocSet& alloc,
+                                        const Slot& slot,
                                         const SolverOptions& options,
                                         SolverStats* stats) {
   SolverStats local;
   SolverStats& s = stats != nullptr ? *stats : local;
 
-  EcaKey key = make_key(eca);
-  Shard& shard = shard_for(key);
-
-  // Epoch-snapshot probe: one acquire load pins an immutable snapshot; the
-  // frontier scan and the witness revalidation both run directly against
-  // it — no lock, no copy.  The snapshot outlives the probe because we hold
-  // its shared_ptr; concurrent publishes simply supersede it.
-  const SnapshotPtr snap = shard.snapshot.load(std::memory_order_acquire);
-  snapshot_reads_.fetch_add(1, std::memory_order_relaxed);
-  const Binding* witness = nullptr;
-  if (const auto it = snap->find(key); it != snap->end()) {
-    const Frontier& frontier = *it->second;
-    for (const FeasibleEntry& entry : frontier.minimal_feasible) {
-      if (entry.alloc.is_subset_of(alloc)) {
-        witness = &entry.witness;
+  // Probe under the shard lock; the witness (if any) is copied out — a
+  // reference-count bump — so the lock is never held across a revalidation
+  // or a solve.
+  std::optional<Binding> witness;
+  {
+    const std::lock_guard<std::mutex> lock(slot.shard_->mutex);
+    const Entry& entry = *slot.entry_;
+    for (const FeasibleEntry& fe : entry.minimal_feasible) {
+      if (fe.alloc.is_subset_of(alloc)) {
+        witness = fe.witness;
         break;
       }
     }
-    if (witness == nullptr) {
-      for (const DynBitset& m : frontier.maximal_infeasible) {
+    if (!witness.has_value()) {
+      for (const DynBitset& m : entry.maximal_infeasible) {
         if (alloc.is_subset_of(m)) {
           s.aborted = false;
           s.outcome = SolveOutcome::kInfeasible;
@@ -130,28 +156,35 @@ std::optional<Binding> BindCache::solve(const CompiledSpec& cs,
     }
   }
 
-  if (witness != nullptr) {
+  if (witness.has_value()) {
     ++s.cache_revalidations;
     revalidations_.fetch_add(1, std::memory_order_relaxed);
-    if (binding_feasible(cs, alloc, eca, *witness, options)) {
+    if (slot.flat_ != nullptr &&
+        binding_feasible_flat(cs, alloc, *slot.flat_, *witness, options)) {
       s.aborted = false;
       s.outcome = SolveOutcome::kFeasible;
       ++s.cache_hits_feasible;
       hits_feasible_.fetch_add(1, std::memory_order_relaxed);
       s.cache_entries = entries();
-      return *witness;  // the only copy: into the caller's return value
+      return witness;
     }
     // Monotonicity guarantees revalidation cannot fail; stay sound anyway
     // by falling through to a real solve.
-    witness = nullptr;
   }
 
   misses_.fetch_add(1, std::memory_order_relaxed);
-  std::optional<Binding> solved = solve_binding(cs, alloc, eca, options, &s);
+  std::optional<Binding> solved;
+  if (slot.flat_ != nullptr) {
+    solved = solve_binding_flat(cs, alloc, *slot.flat_, options, &s);
+  } else {
+    // An unflattenable selection has no binding: `solve_binding`'s verdict.
+    s.aborted = false;
+    s.outcome = SolveOutcome::kInfeasible;
+  }
   if (s.outcome == SolveOutcome::kFeasible && solved.has_value()) {
-    insert_feasible(shard, std::move(key), alloc, *solved);
+    insert_feasible(slot, alloc, *solved);
   } else if (s.outcome == SolveOutcome::kInfeasible) {
-    insert_infeasible(shard, std::move(key), alloc);
+    insert_infeasible(slot, alloc);
   }
   // kNodeLimit / kBudgetExceeded / kCancelled: the solver gave up — that
   // verdict proves nothing and must never enter the frontier.
@@ -159,106 +192,45 @@ std::optional<Binding> BindCache::solve(const CompiledSpec& cs,
   return solved;
 }
 
-namespace {
-
-/// Returns the extended feasible frontier, or nullptr when the new fact is
-/// already implied (a stored subset of `alloc` exists).  Pure build-aside:
-/// touches nothing shared.
-std::shared_ptr<const Frontier> extend_feasible(const Frontier* old,
-                                                const AllocSet& alloc,
-                                                const Binding& witness) {
-  if (old != nullptr)
-    for (const FeasibleEntry& entry : old->minimal_feasible)
-      if (entry.alloc.is_subset_of(alloc)) return nullptr;
-  auto next = std::make_shared<Frontier>();
-  if (old != nullptr) {
-    next->maximal_infeasible = old->maximal_infeasible;
-    next->minimal_feasible.reserve(old->minimal_feasible.size() + 1);
-    // Keep only entries not dominated by the new one (strict supersets are
-    // no longer minimal).
-    for (const FeasibleEntry& entry : old->minimal_feasible)
-      if (!alloc.is_subset_of(entry.alloc))
-        next->minimal_feasible.push_back(entry);
-  }
-  next->minimal_feasible.push_back(FeasibleEntry{alloc, witness});
-  return next;
-}
-
-/// Infeasible-side counterpart of `extend_feasible`.
-std::shared_ptr<const Frontier> extend_infeasible(const Frontier* old,
-                                                  const AllocSet& alloc) {
-  if (old != nullptr)
-    for (const DynBitset& m : old->maximal_infeasible)
-      if (alloc.is_subset_of(m)) return nullptr;
-  auto next = std::make_shared<Frontier>();
-  if (old != nullptr) {
-    next->minimal_feasible = old->minimal_feasible;
-    next->maximal_infeasible.reserve(old->maximal_infeasible.size() + 1);
-    for (const DynBitset& m : old->maximal_infeasible)
-      if (!m.is_subset_of(alloc)) next->maximal_infeasible.push_back(m);
-  }
-  next->maximal_infeasible.push_back(alloc);
-  return next;
-}
-
-}  // namespace
-
-void BindCache::insert_feasible(Shard& shard, std::vector<std::uint32_t> key,
-                                const AllocSet& alloc,
+void BindCache::insert_feasible(const Slot& slot, const AllocSet& alloc,
                                 const Binding& witness) {
   SDF_FAULT_POINT("bind_cache.insert");
-  SnapshotPtr cur = shard.snapshot.load(std::memory_order_acquire);
-  for (;;) {
-    const auto it = cur->find(key);
-    const Frontier* old = it != cur->end() ? it->second.get() : nullptr;
-    // Redundancy check against the *latest* snapshot: a concurrent worker
-    // may have proven a subset already.
-    std::shared_ptr<const Frontier> next_frontier =
-        extend_feasible(old, alloc, witness);
-    if (next_frontier == nullptr) return;
-    const std::size_t old_count = old != nullptr ? old->entry_count() : 0;
-    const std::size_t new_count = next_frontier->entry_count();
-    auto next = std::make_shared<Snapshot>(*cur);
-    (*next)[key] = std::move(next_frontier);
-    SDF_FAULT_POINT("bind_cache.merge");
-    // Publish-with-CAS: on failure `cur` is reloaded with the winner's
-    // snapshot and the extension is rebuilt against it, so no concurrent
-    // fact is ever overwritten.
-    if (shard.snapshot.compare_exchange_strong(cur, std::move(next),
-                                               std::memory_order_acq_rel,
-                                               std::memory_order_acquire)) {
-      entries_.fetch_add(new_count - old_count, std::memory_order_relaxed);
-      publishes_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    publish_retries_.fetch_add(1, std::memory_order_relaxed);
-  }
+  const std::lock_guard<std::mutex> lock(slot.shard_->mutex);
+  Entry& entry = *slot.entry_;
+  // Redundancy check under the lock: a concurrent worker may have proven a
+  // subset already.
+  for (const FeasibleEntry& fe : entry.minimal_feasible)
+    if (fe.alloc.is_subset_of(alloc)) return;
+  const std::size_t old_count = entry.entry_count();
+  // Keep only entries not dominated by the new one (strict supersets are no
+  // longer minimal).
+  std::vector<FeasibleEntry> next;
+  next.reserve(entry.minimal_feasible.size() + 1);
+  for (const FeasibleEntry& fe : entry.minimal_feasible)
+    if (!alloc.is_subset_of(fe.alloc)) next.push_back(fe);
+  next.push_back(FeasibleEntry{alloc, witness});
+  SDF_FAULT_POINT("bind_cache.merge");
+  entry.minimal_feasible.swap(next);
+  entries_.fetch_add(entry.entry_count() - old_count,
+                     std::memory_order_relaxed);
 }
 
-void BindCache::insert_infeasible(Shard& shard, std::vector<std::uint32_t> key,
-                                  const AllocSet& alloc) {
+void BindCache::insert_infeasible(const Slot& slot, const AllocSet& alloc) {
   SDF_FAULT_POINT("bind_cache.insert");
-  SnapshotPtr cur = shard.snapshot.load(std::memory_order_acquire);
-  for (;;) {
-    const auto it = cur->find(key);
-    const Frontier* old = it != cur->end() ? it->second.get() : nullptr;
-    std::shared_ptr<const Frontier> next_frontier =
-        extend_infeasible(old, alloc);
-    if (next_frontier == nullptr) return;
-    const std::size_t old_count = old != nullptr ? old->entry_count() : 0;
-    const std::size_t new_count = next_frontier->entry_count();
-    auto next = std::make_shared<Snapshot>(*cur);
-    (*next)[key] = std::move(next_frontier);
-    SDF_FAULT_POINT("bind_cache.merge");
-    if (shard.snapshot.compare_exchange_strong(cur, std::move(next),
-                                               std::memory_order_acq_rel,
-                                               std::memory_order_acquire)) {
-      entries_.fetch_add(new_count - old_count, std::memory_order_relaxed);
-      publishes_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    publish_retries_.fetch_add(1, std::memory_order_relaxed);
-  }
+  const std::lock_guard<std::mutex> lock(slot.shard_->mutex);
+  Entry& entry = *slot.entry_;
+  for (const DynBitset& m : entry.maximal_infeasible)
+    if (alloc.is_subset_of(m)) return;
+  const std::size_t old_count = entry.entry_count();
+  std::vector<DynBitset> next;
+  next.reserve(entry.maximal_infeasible.size() + 1);
+  for (const DynBitset& m : entry.maximal_infeasible)
+    if (!m.is_subset_of(alloc)) next.push_back(m);
+  next.push_back(alloc);
+  SDF_FAULT_POINT("bind_cache.merge");
+  entry.maximal_infeasible.swap(next);
+  entries_.fetch_add(entry.entry_count() - old_count,
+                     std::memory_order_relaxed);
 }
 
 // ---- HierCache --------------------------------------------------------------
@@ -589,24 +561,19 @@ BindCacheStats BindCache::stats() const {
   out.revalidations = revalidations_.load(std::memory_order_relaxed);
   out.misses = misses_.load(std::memory_order_relaxed);
   out.entries = entries_.load(std::memory_order_relaxed);
-  out.snapshot_reads = snapshot_reads_.load(std::memory_order_relaxed);
-  out.publishes = publishes_.load(std::memory_order_relaxed);
-  out.publish_retries = publish_retries_.load(std::memory_order_relaxed);
   return out;
 }
 
 void BindCache::clear() {
-  for (const std::unique_ptr<Shard>& shard : shards_)
-    shard->snapshot.store(std::make_shared<const Snapshot>(),
-                          std::memory_order_release);
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    const std::lock_guard<std::mutex> lock(shard->mutex);
+    shard->map.clear();
+  }
   hits_feasible_.store(0, std::memory_order_relaxed);
   hits_infeasible_.store(0, std::memory_order_relaxed);
   revalidations_.store(0, std::memory_order_relaxed);
   misses_.store(0, std::memory_order_relaxed);
   entries_.store(0, std::memory_order_relaxed);
-  snapshot_reads_.store(0, std::memory_order_relaxed);
-  publishes_.store(0, std::memory_order_relaxed);
-  publish_retries_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace sdf

@@ -20,23 +20,25 @@
 //
 // Invariants, in order of importance:
 //   1. Soundness: every stored fact was proven by the solver.  This is the
-//      only invariant correctness depends on — a lost publish race may leave
-//      a redundant (dominated) entry behind, which costs a few extra subset
-//      tests but can never change a verdict.
+//      only invariant correctness depends on.
 //   2. Antichain minimality: inserts prune entries dominated by the new
 //      one, keeping frontiers small.  Purely an optimization.
 //
-// Thread safety — epoch-snapshot reads, copy-on-write publishes.  The key
-// space is sharded; each shard holds one atomically published pointer to an
-// *immutable* snapshot (key → frontier map).  Readers load the pointer with
-// an acquire and scan the frontiers in place: no mutex, no witness copy,
-// no allocation on the probe path.  Writers build the updated snapshot off
-// to the side (sharing the untouched frontiers structurally) and publish it
-// with a CAS; a lost race rebuilds against the winner's snapshot and
-// retries.  A snapshot stays alive as long as any reader still holds it, so
-// a reader can never observe a frontier mid-edit.  Exception safety is
-// build-aside-or-nothing: a fault before the CAS leaves the published
-// snapshot untouched.
+// Pinned flattening.  Each ECA's entry also holds the flattening of its
+// cluster selection, fetched from `CompiledSpec::flat()` the first time the
+// ECA is seen (`pin()`) and shared by every later query on it: the analyzer
+// prefilter, the witness revalidation and the solve on a miss.  Each
+// distinct ECA is therefore flattened at most once per cache lifetime,
+// whatever the flatten cache's LRU budget; that budget only bounds the
+// flattenings no entry pins.  The pinned flattenings are the entries' own
+// data, not a second cache: they live exactly as long as the frontiers.
+//
+// Thread safety — sharded mutexes, like `HierCache`.  A probe scans the
+// frontier under the shard lock and copies the witness out (a `Binding`
+// copy is a reference-count bump, see bind/binding.hpp); revalidation and
+// solving run outside the lock.  Frontier updates are build-aside-and-swap
+// under the lock: a fault while building leaves the stored frontier
+// untouched.
 //
 // The cache is derived data: it is deliberately NOT checkpointed, and a
 // resumed run starts cold and rebuilds it (see docs/ROBUSTNESS.md).
@@ -58,12 +60,6 @@ struct BindCacheStats {
   std::uint64_t revalidations = 0;
   std::uint64_t misses = 0;
   std::uint64_t entries = 0;  ///< total frontier entries across all ECAs
-  // Snapshot-protocol counters: every probe loads exactly one snapshot;
-  // every frontier extension publishes exactly one (retries count the CAS
-  // races lost and rebuilt).
-  std::uint64_t snapshot_reads = 0;
-  std::uint64_t publishes = 0;
-  std::uint64_t publish_retries = 0;
 };
 
 struct HierCacheStats {
@@ -151,6 +147,10 @@ class HierCache {
 };
 
 class BindCache {
+ private:
+  struct Shard;
+  struct Entry;
+
  public:
   /// `shard_count` is clamped to at least one shard.
   explicit BindCache(std::size_t shard_count = 16);
@@ -159,18 +159,45 @@ class BindCache {
   BindCache(const BindCache&) = delete;
   BindCache& operator=(const BindCache&) = delete;
 
+  /// One ECA's entry as resolved by `pin()`: valid until `clear()` or the
+  /// cache's destruction.
+  class Slot {
+   public:
+    /// The ECA's pinned flattening; null when its selection does not
+    /// flatten (the solver would report it infeasible).
+    [[nodiscard]] const CompiledFlat* flat() const { return flat_; }
+
+   private:
+    friend class BindCache;
+    Shard* shard_ = nullptr;
+    Entry* entry_ = nullptr;
+    const CompiledFlat* flat_ = nullptr;
+  };
+
+  /// Resolves `eca`'s entry.  The first call for an ECA creates the entry
+  /// and pins `cs.flat(eca.selection)` in it; every later call returns the
+  /// pinned flattening without touching the flatten cache.
+  [[nodiscard]] Slot pin(const CompiledSpec& cs, const Eca& eca);
+
   /// Drop-in replacement for `solve_binding`: answers from the frontier
   /// when the verdict is already proven, otherwise runs the solver and
   /// extends the frontier with its verdict.  Verdicts (and therefore every
   /// front/pruning decision downstream) are identical to the raw solver's;
   /// only the witness binding of a feasible hit may differ (it was found
-  /// under a subset allocation and revalidated for this one).
+  /// under a subset allocation and revalidated for this one).  A feasible
+  /// hit shares the stored witness's assignments rather than copying them.
   ///
   /// Per-call `stats` fields (`outcome`, `aborted`) are reset exactly like
   /// `solve_binding`; cache counters accumulate.
   [[nodiscard]] std::optional<Binding> solve(const CompiledSpec& cs,
                                              const AllocSet& alloc,
                                              const Eca& eca,
+                                             const SolverOptions& options = {},
+                                             SolverStats* stats = nullptr);
+  /// `solve` on an entry already resolved by `pin()` for this spec.
+  [[nodiscard]] std::optional<Binding> solve(const CompiledSpec& cs,
+                                             const AllocSet& alloc,
+                                             const Slot& slot,
                                              const SolverOptions& options = {},
                                              SolverStats* stats = nullptr);
 
@@ -182,17 +209,15 @@ class BindCache {
     return entries_.load(std::memory_order_relaxed);
   }
 
-  /// Publishes an empty snapshot in every shard and zeroes the counters.
+  /// Drops every entry (frontiers and pinned flattenings) and zeroes the
+  /// counters.  Not safe concurrently with queries.
   void clear();
 
  private:
-  struct Shard;
-
   Shard& shard_for(const std::vector<std::uint32_t>& key) const;
-  void insert_feasible(Shard& shard, std::vector<std::uint32_t> key,
-                       const AllocSet& alloc, const Binding& witness);
-  void insert_infeasible(Shard& shard, std::vector<std::uint32_t> key,
-                         const AllocSet& alloc);
+  void insert_feasible(const Slot& slot, const AllocSet& alloc,
+                       const Binding& witness);
+  void insert_infeasible(const Slot& slot, const AllocSet& alloc);
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::uint64_t> hits_feasible_{0};
@@ -200,9 +225,6 @@ class BindCache {
   std::atomic<std::uint64_t> revalidations_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> entries_{0};
-  std::atomic<std::uint64_t> snapshot_reads_{0};
-  std::atomic<std::uint64_t> publishes_{0};
-  std::atomic<std::uint64_t> publish_retries_{0};
 };
 
 }  // namespace sdf

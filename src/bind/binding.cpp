@@ -1,5 +1,7 @@
 #include "bind/binding.hpp"
 
+#include <atomic>
+#include <memory>
 #include <queue>
 
 #include "spec/compiled.hpp"
@@ -7,19 +9,74 @@
 
 namespace sdf {
 
+struct Binding::Storage {
+  std::atomic<std::size_t> owners{1};
+  std::vector<BindingAssignment> items;
+};
+
+Binding::Binding(const Binding& other) noexcept : storage_(other.storage_) {
+  if (storage_ != nullptr)
+    storage_->owners.fetch_add(1, std::memory_order_relaxed);
+}
+
+Binding::Binding(Binding&& other) noexcept : storage_(other.storage_) {
+  other.storage_ = nullptr;
+}
+
+Binding& Binding::operator=(const Binding& other) noexcept {
+  if (storage_ != other.storage_) {
+    Binding copy(other);
+    std::swap(storage_, copy.storage_);
+  }
+  return *this;
+}
+
+Binding& Binding::operator=(Binding&& other) noexcept {
+  if (this != &other) {
+    release();
+    storage_ = other.storage_;
+    other.storage_ = nullptr;
+  }
+  return *this;
+}
+
+Binding::~Binding() { release(); }
+
+void Binding::release() noexcept {
+  // The acq_rel decrement orders every owner's reads before the delete.
+  if (storage_ != nullptr &&
+      storage_->owners.fetch_sub(1, std::memory_order_acq_rel) == 1)
+    delete storage_;
+  storage_ = nullptr;
+}
+
 void Binding::assign(BindingAssignment a) {
-  assignments_.push_back(std::move(a));
+  // Sole ownership is read with acquire so that reads made by owners that
+  // have since released the buffer happen before this write.
+  if (storage_ == nullptr ||
+      storage_->owners.load(std::memory_order_acquire) != 1) {
+    auto fresh = std::make_unique<Storage>();
+    if (storage_ != nullptr) fresh->items = storage_->items;
+    release();
+    storage_ = fresh.release();
+  }
+  storage_->items.push_back(std::move(a));
+}
+
+const std::vector<BindingAssignment>& Binding::assignments() const {
+  static const std::vector<BindingAssignment> kEmpty;
+  return storage_ != nullptr ? storage_->items : kEmpty;
 }
 
 const BindingAssignment* Binding::find(NodeId process) const {
-  for (const BindingAssignment& a : assignments_)
+  for (const BindingAssignment& a : assignments())
     if (a.process == process) return &a;
   return nullptr;
 }
 
 double Binding::total_latency() const {
   double sum = 0.0;
-  for (const BindingAssignment& a : assignments_) sum += a.latency;
+  for (const BindingAssignment& a : assignments()) sum += a.latency;
   return sum;
 }
 

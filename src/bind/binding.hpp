@@ -42,16 +42,25 @@ struct BindingAssignment {
 };
 
 /// A (timed) binding: the set of activated mapping edges at one instant.
+///
+/// Copies share one immutable, reference-counted assignment buffer, so a
+/// copy costs a counter bump however large the binding is (the binding
+/// cache hands the same witness to every hit).  `assign()` is
+/// copy-on-write: it clones the buffer first unless this binding is its
+/// only owner, so a copy never observes a later `assign()` to another.
 class Binding {
  public:
   Binding() = default;
+  Binding(const Binding& other) noexcept;
+  Binding(Binding&& other) noexcept;
+  Binding& operator=(const Binding& other) noexcept;
+  Binding& operator=(Binding&& other) noexcept;
+  ~Binding();
 
   void assign(BindingAssignment a);
 
-  [[nodiscard]] const std::vector<BindingAssignment>& assignments() const {
-    return assignments_;
-  }
-  [[nodiscard]] std::size_t size() const { return assignments_.size(); }
+  [[nodiscard]] const std::vector<BindingAssignment>& assignments() const;
+  [[nodiscard]] std::size_t size() const { return assignments().size(); }
 
   /// Assignment of `process`, if any.
   [[nodiscard]] const BindingAssignment* find(NodeId process) const;
@@ -61,7 +70,10 @@ class Binding {
   [[nodiscard]] double total_latency() const;
 
  private:
-  std::vector<BindingAssignment> assignments_;
+  struct Storage;
+  void release() noexcept;
+
+  Storage* storage_ = nullptr;  ///< null = no assignments
 };
 
 class CompiledSpec;

@@ -58,23 +58,44 @@ std::optional<Implementation> build_implementation(
                         ? options.hier_cache
                         : nullptr;
 
+  BindCache* const cache = hier == nullptr ? options.bind_cache : nullptr;
+
   for (const Eca& eca : ecas) {
     SolverStats ss;
     // `solver_calls` counts *queries*, not searches — it stays invariant
     // under the cache and under this prefilter, so checkpointed counters
     // and pinned test expectations are unaffected.
     ++st.solver_calls;
-    if (analysis != nullptr && analysis->eca_infeasible(alloc, eca)) {
+    // One flattening per query, shared by the prefilter and the solve.  The
+    // bind cache pins it in the ECA's entry, so each distinct ECA is
+    // flattened once per run whatever the flatten cache's LRU budget.
+    BindCache::Slot slot;
+    std::shared_ptr<const CompiledFlat> fetched;
+    const CompiledFlat* flat = nullptr;
+    if (cache != nullptr) {
+      slot = cache->pin(cs, eca);
+      flat = slot.flat();
+    } else {
+      fetched = cs.flat(eca.selection);
+      flat = fetched.get();
+    }
+    if (analysis != nullptr && flat != nullptr &&
+        analysis->eca_infeasible(alloc, *flat)) {
       // Sound proof: the solver would return kInfeasible.  Same verdict,
       // zero nodes searched.
       ++st.analysis_pruned;
       continue;
     }
-    std::optional<Binding> binding =
-        hier != nullptr ? hier->solve(cs, alloc, eca, options.solver, &ss)
-        : options.bind_cache != nullptr
-            ? options.bind_cache->solve(cs, alloc, eca, options.solver, &ss)
-            : solve_binding(cs, alloc, eca, options.solver, &ss);
+    std::optional<Binding> binding;
+    if (hier != nullptr) {
+      binding = hier->solve(cs, alloc, eca, options.solver, &ss);
+    } else if (cache != nullptr) {
+      binding = cache->solve(cs, alloc, slot, options.solver, &ss);
+    } else if (flat != nullptr) {
+      // A selection that does not flatten has no binding; `ss` already
+      // holds that verdict (kInfeasible, not aborted).
+      binding = solve_binding_flat(cs, alloc, *flat, options.solver, &ss);
+    }
     st.solver_nodes += ss.nodes;
     st.cache_hits_feasible += ss.cache_hits_feasible;
     st.cache_hits_infeasible += ss.cache_hits_infeasible;

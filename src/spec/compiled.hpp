@@ -21,7 +21,9 @@
 //     three-way word-wise intersection with no allocation,
 //   * a memoized flatten cache keyed by cluster selection, each entry
 //     carrying the solver-ready dense index/adjacency/attribute arrays,
-//     bounded by an LRU entry/byte budget, and
+//     bounded by an LRU entry/byte budget.  A `BindCache` entry pins its
+//     ECA's flattening for the run (bind/bind_cache.hpp) and never asks
+//     again, so the budget in effect bounds only unpinned flattenings, and
 //   * a per-cluster decomposition sub-index (`decomposition()`): the static
 //     partition of each cluster's interior into independently bindable
 //     groups, which the hierarchical solve path combines at interfaces

@@ -10,7 +10,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bind/bind_cache.hpp"
@@ -193,6 +195,49 @@ TEST(BindCacheTest, SupersetQueryReusesASubsetWitness) {
   EXPECT_TRUE(binding_feasible(cs, full, ecas[0], *hit));
 }
 
+TEST(BindCacheTest, FeasibleHitsShareTheStoredWitness) {
+  const CompiledSpec& cs = settop().compiled();
+  const std::vector<Eca> ecas = full_ecas(cs);
+  ASSERT_FALSE(ecas.empty());
+  const AllocSet full = full_alloc(cs);
+
+  BindCache cache;
+  SolverStats st;
+  const std::optional<Binding> solved = cache.solve(cs, full, ecas[0], {}, &st);
+  const std::optional<Binding> hit1 = cache.solve(cs, full, ecas[0], {}, &st);
+  const std::optional<Binding> hit2 = cache.solve(cs, full, ecas[0], {}, &st);
+  ASSERT_TRUE(solved.has_value() && hit1.has_value() && hit2.has_value());
+  EXPECT_EQ(cache.stats().hits_feasible, 2u);
+  // Both hits and the solved binding read the frontier's one witness.
+  EXPECT_EQ(&hit1->assignments(), &hit2->assignments());
+  EXPECT_EQ(&hit1->assignments(), &solved->assignments());
+  // Writing to a hit never reaches the stored witness.
+  Binding edited = *hit1;
+  edited.assign(hit1->assignments().front());
+  const std::optional<Binding> hit3 = cache.solve(cs, full, ecas[0], {}, &st);
+  ASSERT_TRUE(hit3.has_value());
+  EXPECT_EQ(hit3->size(), hit1->size());
+  EXPECT_TRUE(binding_feasible(cs, full, ecas[0], *hit3));
+}
+
+TEST(BindCacheTest, PinHandsOutOneFlatteningPerEca) {
+  const CompiledSpec cs(settop());
+  cs.set_flat_cache_budget(1, 0);
+  const std::vector<Eca> ecas = full_ecas(cs);
+  ASSERT_GE(ecas.size(), 2u);
+
+  BindCache cache;
+  const BindCache::Slot first = cache.pin(cs, ecas[0]);
+  ASSERT_NE(first.flat(), nullptr);
+  for (const Eca& eca : ecas) (void)cache.pin(cs, eca);  // evicts ecas[0]
+  const std::uint64_t evictions = cs.flat_cache_evictions();
+  // Re-pinning returns the pinned flattening without touching the LRU.
+  EXPECT_EQ(cache.pin(cs, ecas[0]).flat(), first.flat());
+  EXPECT_EQ(cs.flat_cache_evictions(), evictions);
+  cache.clear();
+  EXPECT_EQ(cache.entries(), 0u);
+}
+
 TEST(BindCacheTest, SubsetOfAnInfeasibleAllocationIsAProofHit) {
   const CompiledSpec& cs = settop().compiled();
   const std::vector<Eca> ecas = full_ecas(cs);
@@ -322,28 +367,10 @@ TEST(BindCacheTest, ShardCountZeroIsClampedToOneShard) {
   EXPECT_EQ(cache.entries(), 0u);
 }
 
-TEST(BindCacheTest, SnapshotCountersTrackProbesAndPublishes) {
-  const CompiledSpec& cs = settop().compiled();
-  const std::vector<Eca> ecas = full_ecas(cs);
-  ASSERT_FALSE(ecas.empty());
-  const AllocSet full = full_alloc(cs);
-
-  BindCache cache;
-  SolverStats st;
-  ASSERT_TRUE(cache.solve(cs, full, ecas[0], {}, &st).has_value());  // miss
-  ASSERT_TRUE(cache.solve(cs, full, ecas[0], {}, &st).has_value());  // hit
-
-  const BindCacheStats s = cache.stats();
-  // Every probe loads exactly one snapshot; only the miss published.
-  EXPECT_EQ(s.snapshot_reads, 2u);
-  EXPECT_EQ(s.publishes, 1u);
-  EXPECT_EQ(s.publish_retries, 0u);  // single-threaded: no CAS races
-}
-
 // ---------------------------------------------------------------------------
-// Concurrent readers and writers on the snapshot protocol.  Run under TSan
-// by scripts/check_all.sh / scripts/check_tsan.sh: readers scan published
-// snapshots in place while writers keep publishing extended ones.
+// Concurrent readers and writers on the sharded frontiers.  Run under TSan
+// by scripts/check_all.sh / scripts/check_tsan.sh: readers probe and copy
+// out witnesses while writers keep extending the same frontiers.
 // ---------------------------------------------------------------------------
 
 TEST(BindCacheConcurrency, ReadersScanWhileWritersPublish) {
@@ -375,7 +402,7 @@ TEST(BindCacheConcurrency, ReadersScanWhileWritersPublish) {
     }
   }
 
-  // Few shards concentrate the CAS contention the test wants to provoke.
+  // Few shards concentrate the lock contention the test wants to provoke.
   BindCache cache(2);
   std::atomic<std::uint64_t> disagreements{0};
   std::atomic<std::uint64_t> bad_witnesses{0};
@@ -386,8 +413,8 @@ TEST(BindCacheConcurrency, ReadersScanWhileWritersPublish) {
   for (std::size_t t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
       // Each thread walks the same query set from a different offset, so
-      // at any moment some threads miss-and-publish (writers) while others
-      // hit the snapshots those publishes produced (readers).
+      // at any moment some threads miss-and-insert (writers) while others
+      // hit the frontier entries those inserts produced (readers).
       for (int round = 0; round < kRounds; ++round) {
         for (std::size_t i = 0; i < ecas.size() * allocs.size(); ++i) {
           const std::size_t q =
@@ -412,9 +439,8 @@ TEST(BindCacheConcurrency, ReadersScanWhileWritersPublish) {
   EXPECT_EQ(bad_witnesses.load(), 0u) << "stale witness served under race";
   const BindCacheStats s = cache.stats();
   // Probe accounting holds exactly even under contention…
-  EXPECT_EQ(s.snapshot_reads,
+  EXPECT_EQ(s.misses + s.hits_feasible + s.hits_infeasible,
             kThreads * kRounds * ecas.size() * allocs.size());
-  EXPECT_EQ(s.misses + s.hits_feasible + s.hits_infeasible, s.snapshot_reads);
   // …and the frontier converged: later rounds are all hits.
   EXPECT_GT(s.hits_feasible + s.hits_infeasible, s.misses);
 }
@@ -623,6 +649,63 @@ TEST(BindCacheExplore, GeneratedSpecFrontMatchesCacheOff) {
   EXPECT_LE(on.stats.solver_nodes, off.stats.solver_nodes);
 }
 
+// Regression: with a one-entry flatten LRU every query used to re-flatten
+// its ECA (once for the analyzer prefilter, once for the witness
+// revalidation), so cycling ECAs evicted on nearly every query.  The bind
+// cache pins each ECA's flattening, so a run flattens each distinct
+// selection at most once whatever the budget — and changes nothing else.
+void expect_no_flatten_thrash(SpecificationGraph (*make_spec)(),
+                              const ExploreOptions& options) {
+  const SpecificationGraph tight = make_spec();
+  tight.compiled().set_flat_cache_budget(/*max_entries=*/1, /*max_bytes=*/0);
+  const SpecificationGraph unlimited = make_spec();
+  unlimited.compiled().set_flat_cache_budget(0, 0);
+
+  const ExploreResult a = explore(tight, options);
+  const ExploreResult b = explore(unlimited, options);
+  ASSERT_TRUE(a.status.ok());
+  ASSERT_TRUE(b.status.ok());
+  expect_fronts_equal(a, b);
+  const ExploreStats& x = a.stats;
+  const ExploreStats& y = b.stats;
+  EXPECT_EQ(x.candidates_generated, y.candidates_generated);
+  EXPECT_EQ(x.dominated_skipped, y.dominated_skipped);
+  EXPECT_EQ(x.possible_allocations, y.possible_allocations);
+  EXPECT_EQ(x.flexibility_estimations, y.flexibility_estimations);
+  EXPECT_EQ(x.bound_skipped, y.bound_skipped);
+  EXPECT_EQ(x.implementation_attempts, y.implementation_attempts);
+  EXPECT_EQ(x.solver_calls, y.solver_calls);
+  EXPECT_EQ(x.solver_nodes, y.solver_nodes);
+  EXPECT_EQ(x.cache_hits_feasible, y.cache_hits_feasible);
+  EXPECT_EQ(x.cache_hits_infeasible, y.cache_hits_infeasible);
+  EXPECT_EQ(x.cache_revalidations, y.cache_revalidations);
+  EXPECT_EQ(x.cache_entries, y.cache_entries);
+  EXPECT_EQ(x.branches_pruned, y.branches_pruned);
+  EXPECT_EQ(x.analysis_pruned, y.analysis_pruned);
+  EXPECT_EQ(x.hier_subsolves, y.hier_subsolves);
+  EXPECT_EQ(x.hier_hits, y.hier_hits);
+  EXPECT_EQ(x.exhausted, y.exhausted);
+  EXPECT_EQ(x.stop_reason, y.stop_reason);
+  EXPECT_EQ(x.frontier_remaining, y.frontier_remaining);
+  EXPECT_EQ(y.flat_cache_evictions, 0u);
+
+  std::set<std::vector<std::pair<std::uint32_t, std::uint32_t>>> selections;
+  for (const Eca& eca : full_ecas(tight.compiled()))
+    selections.insert(eca.selection.key());
+  EXPECT_GT(x.solver_calls, selections.size());  // ECAs do repeat
+  EXPECT_LE(x.flat_cache_evictions, selections.size());
+}
+
+TEST(BindCacheExplore, SettopOneEntryFlattenBudgetDoesNotThrash) {
+  expect_no_flatten_thrash(&models::make_settop_spec, ExploreOptions{});
+}
+
+TEST(BindCacheExplore, DecoderOneEntryFlattenBudgetDoesNotThrash) {
+  ExploreOptions options;
+  options.stop_at_max_flexibility = false;
+  expect_no_flatten_thrash(&models::make_tv_decoder_spec, options);
+}
+
 // ---------------------------------------------------------------------------
 // Fault injection: a throw mid-insert must leave the cache sound (at worst
 // with a redundant frontier entry) and a parallel run resumable.
@@ -667,23 +750,21 @@ TEST(BindCacheFaults, MergeFaultIsBuildAsideOrNothing) {
 
   BindCache cache;
   SolverStats st;
-  // The merge fault fires after the extended snapshot is built aside but
-  // before the CAS publish: the exception escapes and the published
-  // snapshot is untouched — no fact stored, no torn frontier.
+  // The merge fault fires after the extended frontier is built aside but
+  // before the swap: the exception escapes and the stored frontier is
+  // untouched — no fact stored, no torn frontier.
   FaultInjector::arm("bind_cache.merge", FaultKind::kThrow, 1);
   EXPECT_THROW((void)cache.solve(cs, full, ecas[0], {}, &st),
                FaultInjectedError);
   FaultInjector::disarm_all();
   EXPECT_EQ(cache.entries(), 0u);  // build-aside discarded with the throw
-  EXPECT_EQ(cache.stats().publishes, 0u);
 
-  // The next query re-solves (miss, not a fabricated hit) and publishes.
+  // The next query re-solves (miss, not a fabricated hit) and stores it.
   const std::optional<Binding> got = cache.solve(cs, full, ecas[0], {}, &st);
   ASSERT_TRUE(got.has_value());
   EXPECT_TRUE(binding_feasible(cs, full, ecas[0], *got));
   EXPECT_EQ(cache.stats().misses, 2u);
   EXPECT_EQ(cache.entries(), 1u);
-  EXPECT_EQ(cache.stats().publishes, 1u);
 
   // ...and the published fact serves hits again.
   const std::optional<Binding> hit = cache.solve(cs, full, ecas[0], {}, &st);

@@ -165,6 +165,37 @@ TEST(Binding, AnyPathFollowsMultiHop) {
       units_can_communicate(spec, alloc, uc, ua, CommModel::kAnyPath));
 }
 
+TEST(Binding, CopiesShareStorageAndAssignIsCopyOnWrite) {
+  const BindingAssignment first{NodeId{0u}, NodeId{1u}, AllocUnitId{0u}, 1.0};
+  const BindingAssignment second{NodeId{2u}, NodeId{3u}, AllocUnitId{1u}, 2.0};
+  Binding original;
+  original.assign(first);
+
+  // A copy reads the original's buffer until it is written to.
+  Binding copy = original;
+  EXPECT_EQ(&copy.assignments(), &original.assignments());
+  copy.assign(second);
+  EXPECT_NE(&copy.assignments(), &original.assignments());
+  ASSERT_EQ(original.size(), 1u);
+  ASSERT_EQ(copy.size(), 2u);
+  EXPECT_EQ(copy.assignments()[0].process, first.process);
+  EXPECT_EQ(copy.assignments()[1].process, second.process);
+
+  // The other direction: writing to the original leaves an earlier copy be.
+  const Binding snapshot = original;
+  original.assign(second);
+  EXPECT_EQ(snapshot.size(), 1u);
+  EXPECT_EQ(original.size(), 2u);
+
+  // A sole owner appends in place; a moved-from binding is empty.
+  const std::vector<BindingAssignment>* buffer = &copy.assignments();
+  Binding moved = std::move(copy);
+  moved.assign(first);
+  EXPECT_EQ(&moved.assignments(), buffer);
+  EXPECT_EQ(moved.size(), 3u);
+  EXPECT_EQ(copy.size(), 0u);  // NOLINT(bugprone-use-after-move)
+}
+
 // ---- elementary cluster activations ---------------------------------------------
 
 TEST(Eca, DecoderEnumeratesSixCombinations) {
