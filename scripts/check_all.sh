@@ -2,15 +2,23 @@
 # Single entry point for every local gate, in cheap-to-expensive order:
 #
 #   1. scripts/check.sh        build, ctest, benches, ASan+UBSan suite
-#   2. scripts/check_tsan.sh   ThreadSanitizer over the concurrency tests
-#   3. fault injection         SDF_FAULT_INJECTION=ON + TSan, armed-site tests
-#   4. fuzz harnesses          front-door parsers under ASan+UBSan, ~60s each
-#   5. scripts/check_tidy.sh   clang-tidy profile (skips if not installed)
-#   6. sdf lint                zero-diagnostic gate over examples/specs/
+#   2. perfbench self-test     the benchmark builds and its fronts hold
+#   3. scripts/check_tsan.sh   ThreadSanitizer over the concurrency tests
+#   4. fault injection         SDF_FAULT_INJECTION=ON + TSan, armed-site tests
+#   5. fuzz harnesses          front-door parsers under ASan+UBSan, ~60s each
+#   6. scripts/check_tidy.sh   clang-tidy profile (skips if not installed)
+#   7. sdf lint                zero-diagnostic gate over examples/specs/
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 scripts/check.sh
+
+echo "==================== perfbench self-test ===================="
+# perfbench/ compiles the library sources itself and calls the engine API
+# directly; building it and checking its requests against the committed
+# reference fronts catches an API change that breaks the benchmark.
+python3 perfbench/run.py --self-test
+
 scripts/check_tsan.sh
 
 echo "==================== fault injection (tsan) ===================="
@@ -78,8 +86,8 @@ done
 
 echo "============ binding cache: front equivalence on examples ============"
 # The cache may only change work counters, never verdicts: the JSON front
-# with and without --no-bind-cache must be byte-identical, sequentially and
-# under the parallel engine's shared cache.  Only the "front" key is
+# with and without --no-bind-cache must be byte-identical, at one thread and
+# with the cache shared by four band workers.  Only the "front" key is
 # compared — stats legitimately differ (wall time, cache counters).
 extract_front() {
   python3 -c 'import json,sys; print(json.dumps(json.load(sys.stdin)["front"], indent=1))'
@@ -104,7 +112,7 @@ echo "======== hierarchical solve: front equivalence, hier vs --no-hier ========
 # the node counters, never a verdict.  Fronts with and without --no-hier
 # must be byte-identical on every example spec (settop/decoder exercise the
 # not-decomposable fallback, nested.json the real per-group path), both
-# sequentially and under the parallel engine's shared HierCache.
+# at one thread and with the HierCache shared by four band workers.
 for spec in examples/specs/*.json; do
   for threads in 1 4; do
     echo "hier front diff (threads=$threads) $spec"

@@ -1,54 +1,8 @@
+// Stats and result helpers of EXPLORE.  `explore()` itself is the one
+// cost-ordered engine in parallel_explorer.cpp, run at one thread.
 #include "explore/explorer.hpp"
 
-#include <chrono>
-#include <cmath>
-#include <deque>
-#include <utility>
-
-#include "analysis/analysis.hpp"
-#include "bind/bind_cache.hpp"
-#include "explore/allocation_enum.hpp"
-#include "flex/activatability.hpp"
-#include "flex/flexibility.hpp"
-#include "spec/compiled.hpp"
-#include "util/log.hpp"
-#include "util/strings.hpp"
-
 namespace sdf {
-namespace {
-
-/// The deterministic work counters evaluation can mutate; snapshotting and
-/// restoring these rolls back an abandoned candidate's charges so a resumed
-/// chain's totals match an uninterrupted run.
-struct StatsSnapshot {
-  std::uint64_t candidates_generated;
-  std::uint64_t dominated_skipped;
-  std::uint64_t possible_allocations;
-  std::uint64_t flexibility_estimations;
-  std::uint64_t bound_skipped;
-  std::uint64_t implementation_attempts;
-  std::uint64_t solver_calls;
-  std::uint64_t solver_nodes;
-
-  static StatsSnapshot take(const ExploreStats& s) {
-    return StatsSnapshot{s.candidates_generated, s.dominated_skipped,
-                         s.possible_allocations, s.flexibility_estimations,
-                         s.bound_skipped,        s.implementation_attempts,
-                         s.solver_calls,         s.solver_nodes};
-  }
-  void restore(ExploreStats& s) const {
-    s.candidates_generated = candidates_generated;
-    s.dominated_skipped = dominated_skipped;
-    s.possible_allocations = possible_allocations;
-    s.flexibility_estimations = flexibility_estimations;
-    s.bound_skipped = bound_skipped;
-    s.implementation_attempts = implementation_attempts;
-    s.solver_calls = solver_calls;
-    s.solver_nodes = solver_nodes;
-  }
-};
-
-}  // namespace
 
 ExploreCheckpoint::Counters checkpoint_counters(const ExploreStats& stats) {
   ExploreCheckpoint::Counters c;
@@ -84,259 +38,6 @@ std::vector<ParetoPoint> ExploreResult::tradeoff_curve() const {
     out.push_back(ParetoPoint{front[i].cost, 1.0 / front[i].flexibility, i});
   }
   return out;
-}
-
-ExploreResult explore(const SpecificationGraph& spec,
-                      const ExploreOptions& options) {
-  const auto t0 = std::chrono::steady_clock::now();
-
-  ExploreResult result;
-  // Warm the compiled query index once up front; every downstream phase
-  // (dominance filter, activatability, solver) reads from it.
-  const CompiledSpec& cs = spec.compiled();
-  result.stats.index_build_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  result.max_flexibility = max_flexibility(cs.problem());
-  result.stats.universe = cs.unit_count();
-  result.stats.raw_design_points =
-      std::pow(2.0, static_cast<double>(result.stats.universe));
-
-  BudgetTracker tracker(options.budget);
-  // Candidate evaluation charges every solver node to the run budget.
-  ImplementationOptions eval_impl = options.implementation;
-  eval_impl.solver.budget = &tracker;
-  // Run-local binding cache: derived data, rebuilt from scratch on resume
-  // (deliberately not checkpointed — see docs/ROBUSTNESS.md).
-  BindCache bind_cache;
-  if (eval_impl.use_bind_cache && eval_impl.bind_cache == nullptr)
-    eval_impl.bind_cache = &bind_cache;
-  // Run-local hierarchical sub-solve cache (same lifecycle as the binding
-  // cache; engages only on specs that decompose).
-  HierCache hier_cache;
-  if (eval_impl.use_hier && eval_impl.hier_cache == nullptr)
-    eval_impl.hier_cache = &hier_cache;
-  // Run-local static analyzer: sound infeasibility proofs skip solver
-  // searches without changing verdicts (see bind/implementation.hpp).
-  std::optional<SpecAnalysis> analysis_store;
-  if (eval_impl.use_analysis && eval_impl.analysis == nullptr) {
-    analysis_store.emplace(cs, AnalysisOptions{eval_impl.solver});
-    eval_impl.analysis = &*analysis_store;
-  }
-  const SpecAnalysis* analysis =
-      eval_impl.use_analysis ? eval_impl.analysis : nullptr;
-
-  double f_cur = 0.0;
-  // When collecting equivalents, the search ends after walking through the
-  // cost tie of the maximal-flexibility point; -1 = not yet reached.
-  double max_tie_cost = -1.0;
-  const DominanceContext dominance(cs);
-  CostOrderedAllocations stream(cs);
-  // Candidates a prior interrupted run drained but never evaluated; always
-  // consumed before the stream (they precede it in stream order).
-  std::deque<AllocSet> pending;
-
-  if (options.resume != nullptr) {
-    Result<ExploreResumeState> restored =
-        restore_explore_checkpoint(*options.resume, spec, options, stream);
-    if (!restored.ok()) {
-      result.status = restored.error();
-      return result;
-    }
-    ExploreResumeState& state = restored.value();
-    result.front = std::move(state.front);
-    for (AllocSet& alloc : state.pending)
-      pending.push_back(std::move(alloc));
-    if (!result.front.empty()) {
-      f_cur = result.front.back().flexibility;
-      if (options.stop_at_max_flexibility && options.collect_equivalents &&
-          f_cur >= result.max_flexibility - 1e-9)
-        max_tie_cost = result.front.back().cost;
-    }
-    apply_checkpoint_counters(state.counters, result.stats);
-    result.stats.resumed = true;
-  }
-
-  const bool analysis_bound = options.use_analysis_bound && analysis != nullptr;
-  if (options.use_branch_bound || analysis_bound) {
-    stream.set_branch_bound([&, analysis_bound,
-                             branch_bound = options.use_branch_bound,
-                             collect = options.collect_equivalents](
-                                const AllocSet& potential) {
-      // Relaxation bound (opt-in): infeasibility is monotone downward in
-      // the allocation, so a proof on the optimistic completion covers
-      // every descendant of this subtree.
-      if (analysis_bound && analysis->allocation_infeasible(potential)) {
-        ++result.stats.analysis_pruned;
-        return false;
-      }
-      if (!branch_bound) return true;
-      if (f_cur <= 0.0) return true;  // nothing to beat yet
-      const std::optional<double> est = estimate_flexibility(cs, potential);
-      if (!est.has_value()) return false;
-      // Equivalent collection must keep subtrees that can still *tie* the
-      // incumbent, not only beat it.
-      return collect ? *est >= f_cur : *est > f_cur;
-    });
-  }
-
-  // First stream-order candidate the budget forced us to abandon, either
-  // before evaluation (allocation charge failed) or mid-evaluation (solver
-  // aborted).  Its cost is the completeness certificate's bound.
-  std::optional<AllocSet> in_flight;
-
-  while (true) {
-    std::optional<AllocSet> a;
-    if (!pending.empty()) {
-      a = std::move(pending.front());
-      pending.pop_front();
-    } else {
-      a = stream.next();
-    }
-    if (!a.has_value()) break;  // stream ran dry: exploration complete
-    if (a->none()) continue;    // the empty base costs no candidate budget
-
-    if (!tracker.charge_allocation()) {
-      in_flight = std::move(a);
-      break;
-    }
-    const StatsSnapshot snapshot = StatsSnapshot::take(result.stats);
-    ++result.stats.candidates_generated;
-    if (options.max_candidates != 0 &&
-        result.stats.candidates_generated > options.max_candidates)
-      break;
-    if (max_tie_cost >= 0.0 && cs.allocation_cost(*a) > max_tie_cost)
-      break;
-
-    if (options.prune_dominated_allocations &&
-        obviously_dominated(cs, dominance, *a)) {
-      ++result.stats.dominated_skipped;
-      continue;
-    }
-
-    if (analysis_bound && analysis->allocation_infeasible(*a)) {
-      // Sound proof that no activation of this allocation can be bound;
-      // skip before even the activatability pass.
-      ++result.stats.analysis_pruned;
-      continue;
-    }
-
-    const Activatability act(cs, *a);
-    if (!act.root_activatable()) continue;
-    ++result.stats.possible_allocations;
-
-    const std::optional<double> est = act.estimated_flexibility();
-    ++result.stats.flexibility_estimations;
-    SDF_CHECK(est.has_value(), "possible allocation without estimate");
-    const bool beats_bound =
-        options.collect_equivalents ? *est >= f_cur : *est > f_cur;
-    if (options.use_flexibility_bound && !beats_bound) {
-      ++result.stats.bound_skipped;
-      continue;
-    }
-
-    ++result.stats.implementation_attempts;
-    ImplementationStats istats;
-    std::optional<Implementation> impl =
-        build_implementation(cs, *a, eval_impl, &istats);
-    result.stats.solver_calls += istats.solver_calls;
-    result.stats.solver_nodes += istats.solver_nodes;
-    result.stats.cache_hits_feasible += istats.cache_hits_feasible;
-    result.stats.cache_hits_infeasible += istats.cache_hits_infeasible;
-    result.stats.cache_revalidations += istats.cache_revalidations;
-    result.stats.analysis_pruned += istats.analysis_pruned;
-    result.stats.hier_subsolves += istats.hier_subsolves;
-    result.stats.hier_hits += istats.hier_hits;
-
-    if (istats.budget_exceeded()) {
-      // Abandoned mid-evaluation: roll the candidate's charges back (the
-      // resumed run re-evaluates it from scratch, so keeping them would
-      // double-count) and record it as budget-abandoned, never infeasible.
-      snapshot.restore(result.stats);
-      ++result.stats.budget_abandoned;
-      in_flight = std::move(a);
-      break;
-    }
-
-    if (!impl.has_value()) continue;
-    if (impl->flexibility <= f_cur) {
-      // Equivalent Pareto point: same cost and flexibility as the current
-      // front point, different allocation.
-      if (options.collect_equivalents && !result.front.empty() &&
-          impl->flexibility == f_cur &&
-          impl->cost == result.front.back().cost &&
-          !(impl->units == result.front.back().units)) {
-        result.front.back().equivalents.push_back(std::move(*impl));
-      }
-      continue;
-    }
-
-    // Same-cost predecessors with lower flexibility are dominated now.
-    while (!result.front.empty() &&
-           result.front.back().cost >= impl->cost) {
-      result.front.pop_back();
-    }
-    log_debug(strprintf("EXPLORE: new Pareto point cost=%s f=%s (%s)",
-                        format_double(impl->cost).c_str(),
-                        format_double(impl->flexibility).c_str(),
-                        spec.allocation_names(*a).c_str()));
-    f_cur = impl->flexibility;
-    result.front.push_back(std::move(*impl));
-
-    if (options.stop_at_max_flexibility &&
-        f_cur >= result.max_flexibility - 1e-9) {
-      if (!options.collect_equivalents) break;
-      // Keep walking only through the cost tie of the maximal point; the
-      // stream is cost-ordered, so the first strictly costlier candidate
-      // ends the search (checked at the top of the loop).
-      max_tie_cost = result.front.back().cost;
-    }
-  }
-  result.stats.exhausted =
-      !in_flight.has_value() && (!options.stop_at_max_flexibility ||
-                                 f_cur < result.max_flexibility - 1e-9);
-  result.stats.branches_pruned = stream.pruned();
-  result.stats.frontier_remaining = stream.frontier_size();
-
-  if (in_flight.has_value()) {
-    result.stats.stop_reason = tracker.reason();
-    // Completeness certificate: `in_flight` is the cheapest candidate the
-    // run never finished (pending and stream entries all follow it in
-    // cost order), so the front is exact below its cost.
-    result.stats.exact_up_to_cost = cs.allocation_cost(*in_flight);
-
-    std::vector<AllocSet> unprocessed;
-    unprocessed.reserve(1 + pending.size());
-    unprocessed.push_back(std::move(*in_flight));
-    for (AllocSet& rest : pending) unprocessed.push_back(std::move(rest));
-    Result<ExploreCheckpoint> ck = build_explore_checkpoint(
-        spec, options, result.front, unprocessed, stream,
-        checkpoint_counters(result.stats));
-    if (!ck.ok()) {
-      result.status = ck.error();
-      return result;
-    }
-    result.checkpoint = std::move(ck).value();
-
-    log_debug(strprintf(
-        "EXPLORE: interrupted (%s) after %llu candidates; front exact below "
-        "cost %s",
-        stop_reason_name(result.stats.stop_reason),
-        static_cast<unsigned long long>(result.stats.candidates_generated),
-        format_double(result.stats.exact_up_to_cost).c_str()));
-  }
-
-  if (eval_impl.bind_cache != nullptr)
-    result.stats.cache_entries = eval_impl.bind_cache->entries();
-  if (eval_impl.hier_cache != nullptr)
-    result.stats.cache_entries += eval_impl.hier_cache->entries();
-  result.stats.flat_cache_entries = cs.flat_cache_entries();
-  result.stats.flat_cache_evictions = cs.flat_cache_evictions();
-
-  const auto t1 = std::chrono::steady_clock::now();
-  result.stats.wall_seconds =
-      std::chrono::duration<double>(t1 - t0).count();
-  return result;
 }
 
 }  // namespace sdf

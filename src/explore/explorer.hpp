@@ -67,22 +67,19 @@ struct ExploreOptions {
   /// Safety cap on generated candidates (0 = unlimited).  Only non-empty
   /// candidates count: the stream's empty base allocation is free.
   std::uint64_t max_candidates = 0;
-  /// Worker threads for `parallel_explore` (0 = one per hardware thread).
-  /// Ignored by the sequential `explore`.
+  /// Evaluation threads for `parallel_explore` (0 = one per hardware
+  /// thread).  `explore()` and `explore_upgrades()` always run one.
   std::size_t num_threads = 0;
   /// Band capacity for `parallel_explore`: how many candidates are drained
   /// from the stream and evaluated concurrently between two deterministic
   /// merges.  Larger bands expose more parallelism but evaluate against a
-  /// staler incumbent.  0 = adaptive: the capacity starts scaled from
+  /// staler incumbent.  0 = automatic: one candidate per band at one
+  /// thread; with more threads the capacity starts scaled from
   /// `num_threads` and is grown/shrunk per band by the measured number of
-  /// candidates that survive the cheap filters (see `band_target`); any
-  /// non-zero value pins the capacity and disables adaptation.  The merged
-  /// front is band-size invariant, so adaptation never changes results.
+  /// candidates that survive the cheap filters (`next_band_capacity`).  Any
+  /// non-zero value pins the capacity.  The merged front is band-size
+  /// invariant, so band sizing never changes results.
   std::size_t band_capacity = 0;
-  /// Adaptive-band setpoint: surviving (implementation-attempted)
-  /// candidates to aim for per band.  Only read when `band_capacity == 0`;
-  /// 0 = auto (scaled from the thread count).  CLI: `--band-target`.
-  std::size_t band_target = 0;
   /// Anytime limits; the default budget never interrupts anything.
   RunBudget budget;
   /// Resume from a prior interrupted run's checkpoint.  Not owned; must
@@ -151,17 +148,18 @@ struct ExploreStats {
   /// before the candidate loop; included in `wall_seconds`.
   double index_build_seconds = 0.0;
 
-  // ---- parallel-engine extras (zero for the sequential engine) -------------
+  // ---- band block: filled by `parallel_explore`, zero for `explore()` ----
   std::size_t threads = 0;             ///< evaluation threads actually used
   std::uint64_t bands = 0;             ///< cost bands drained and merged
   std::size_t peak_band_size = 0;      ///< largest band (candidates)
-  /// Adaptive-band controller activity (zero when `band_capacity` pinned
-  /// the size): capacity doublings, halvings, and the capacity in effect
-  /// for the last band assembled.
+  /// Adaptive-band controller activity (zero when the capacity was pinned
+  /// or one thread ran): capacity doublings, halvings, and the capacity in
+  /// effect for the last band assembled.
   std::uint64_t bands_grown = 0;
   std::uint64_t bands_shrunk = 0;
   std::size_t band_capacity_last = 0;
-  /// Per-phase wall-time breakdown of `parallel_explore`.
+  /// Per-phase wall-time breakdown, read only when more than one thread
+  /// runs (a band of one would pay several clock reads per candidate).
   double enumerate_seconds = 0.0;      ///< stream drain + branch bound
   double evaluate_seconds = 0.0;       ///< concurrent candidate evaluation
   double merge_seconds = 0.0;          ///< deterministic band merge
@@ -182,7 +180,7 @@ struct ExploreResult {
   double max_flexibility = 0.0;
   ExploreStats stats;
   /// Non-ok when the run failed: a bad resume checkpoint leaves the result
-  /// empty; a failed worker task (parallel engine) stops the run with
+  /// empty; a failed evaluation task stops the run with
   /// `stop_reason == kWorkerError` — the merged partial front and the
   /// checkpoint stay valid, so such a run can still be resumed.
   Status status;
@@ -194,12 +192,13 @@ struct ExploreResult {
   [[nodiscard]] std::vector<ParetoPoint> tradeoff_curve() const;
 };
 
-/// Runs EXPLORE on `spec`.
+/// Runs EXPLORE on `spec` at one thread, one candidate at a time: the
+/// engine of `parallel_explore` with a band of one and no band block in
+/// the stats.  Ignores `num_threads` and `band_capacity`.
 [[nodiscard]] ExploreResult explore(const SpecificationGraph& spec,
                                     const ExploreOptions& options = {});
 
-/// Deterministic work counters, stats form ↔ checkpoint form (shared by the
-/// sequential and parallel engines).
+/// Deterministic work counters, stats form ↔ checkpoint form.
 [[nodiscard]] ExploreCheckpoint::Counters checkpoint_counters(
     const ExploreStats& stats);
 void apply_checkpoint_counters(const ExploreCheckpoint::Counters& counters,

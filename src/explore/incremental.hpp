@@ -11,6 +11,13 @@
 // result is exact: existing behaviors keep a feasible binding because
 // upgrades never remove resources, and every reported point is certified
 // by a constructed implementation.
+//
+// The search is EXPLORE itself (parallel_explorer.hpp) at one thread over
+// the stream with `existing` frozen in: the baseline's implemented
+// flexibility is the initial incumbent, the dominance filter judges only
+// the added units, and costs and the completeness certificate
+// (`stats.exact_up_to_cost`) are in upgrade-cost terms.  An interrupted
+// run returns its partial front but no checkpoint.
 #pragma once
 
 #include "explore/explorer.hpp"
@@ -38,6 +45,7 @@ struct UpgradeResult {
 /// Explores upgrades of `existing` on `spec`.  The baseline itself is not
 /// part of the front (its upgrade cost is 0 and it improves nothing);
 /// every front entry strictly increases flexibility over the baseline.
+/// Ignores `num_threads`, `band_capacity` and `resume`.
 [[nodiscard]] UpgradeResult explore_upgrades(
     const SpecificationGraph& spec, const AllocSet& existing,
     const ExploreOptions& options = {});

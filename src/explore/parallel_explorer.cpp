@@ -1,3 +1,5 @@
+// The one cost-ordered EXPLORE engine behind `explore()`,
+// `parallel_explore()` and `explore_upgrades()`; see parallel_explorer.hpp.
 #include "explore/parallel_explorer.hpp"
 
 #include <algorithm>
@@ -6,11 +8,13 @@
 #include <cmath>
 #include <deque>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "analysis/analysis.hpp"
 #include "bind/bind_cache.hpp"
 #include "explore/allocation_enum.hpp"
+#include "explore/incremental.hpp"
 #include "flex/activatability.hpp"
 #include "flex/flexibility.hpp"
 #include "spec/compiled.hpp"
@@ -41,6 +45,7 @@ class AtomicMax {
   [[nodiscard]] double get() const {
     return value_.load(std::memory_order_acquire);
   }
+  void reset() { value_.store(0.0, std::memory_order_relaxed); }
 
  private:
   std::atomic<double> value_{0.0};
@@ -64,97 +69,103 @@ struct BandCandidate {
   std::uint64_t flexibility_estimations = 0;
   std::uint64_t bound_skipped = 0;
   std::uint64_t implementation_attempts = 0;
-  std::uint64_t solver_calls = 0;
-  std::uint64_t solver_nodes = 0;
-  std::uint64_t cache_hits_feasible = 0;
-  std::uint64_t cache_hits_infeasible = 0;
-  std::uint64_t cache_revalidations = 0;
-  std::uint64_t analysis_pruned = 0;
-  std::uint64_t hier_subsolves = 0;
-  std::uint64_t hier_hits = 0;
+  ImplementationStats istats;
   double filter_seconds = 0.0;
   double implement_seconds = 0.0;
 };
 
-/// The per-candidate work of the sequential engine's loop body, minus every
-/// front/incumbent mutation (those happen at merge).  `committed_f` is the
-/// incumbent after the last merged band; `level_best` shares implemented
-/// flexibilities between concurrent workers, per cost level.
-void evaluate_candidate(const CompiledSpec& cs,
-                        const ExploreOptions& options,
-                        const ImplementationOptions& impl_opts,
-                        const DominanceContext& dominance, double committed_f,
+/// Run-wide state every band worker reads (the tracker is synchronized).
+struct EvalContext {
+  const CompiledSpec& cs;
+  const ExploreOptions& options;
+  const ImplementationOptions& impl;
+  const DominanceContext& dominance;
+  /// Non-null iff the analyzer's allocation bound filters candidates.
+  const SpecAnalysis* bound_analysis;
+  /// The frozen deployed platform in upgrade mode, else nullptr.
+  const AllocSet* base;
+  BudgetTracker& tracker;
+  /// Read the per-candidate phase timers (only worth it with > 1 thread).
+  bool timed;
+};
+
+/// The cheap filters in the paper's order — §5 dominance, the opt-in
+/// analysis bound, activatability, the flexibility-estimate bound.  True
+/// iff the candidate reaches the binding construction.  `committed_f` is
+/// the incumbent after the last merged band; `level_best` shares
+/// implemented flexibilities between concurrent workers, per cost level.
+bool passes_filters(const EvalContext& ctx, double committed_f,
+                    const std::vector<AtomicMax>& level_best,
+                    BandCandidate& cand) {
+  if (ctx.options.prune_dominated_allocations) {
+    // Upgrades judge only the added units: the deployed platform is a sunk
+    // cost and may legitimately hold resources the upgrade does not use.
+    std::optional<AllocSet> added;
+    if (ctx.base != nullptr) added = cand.alloc - *ctx.base;
+    if (obviously_dominated(ctx.cs, ctx.dominance, cand.alloc,
+                            added ? &*added : nullptr)) {
+      ++cand.dominated_skipped;
+      return false;
+    }
+  }
+  if (ctx.bound_analysis != nullptr &&
+      ctx.bound_analysis->allocation_infeasible(cand.alloc)) {
+    // Sound proof that no activation of this allocation can be bound.
+    ++cand.istats.analysis_pruned;
+    return false;
+  }
+  const Activatability act(ctx.cs, cand.alloc);
+  if (!act.root_activatable()) return false;
+  ++cand.possible_allocations;
+  const std::optional<double> est = act.estimated_flexibility();
+  ++cand.flexibility_estimations;
+  SDF_CHECK(est.has_value(), "possible allocation without estimate");
+  if (!ctx.options.use_flexibility_bound) return true;
+
+  // Everything that precedes this candidate's cost level in stream order
+  // (merged bands, lower levels of this band) bounds it the same way the
+  // one-at-a-time incumbent would — that incumbent is at least as large as
+  // any value read here.
+  double preceding = committed_f;
+  for (std::size_t l = 0; l < cand.level; ++l)
+    preceding = std::max(preceding, level_best[l].get());
+  const bool below_preceding =
+      ctx.options.collect_equivalents ? *est < preceding : *est <= preceding;
+  // Within the own (equal-cost) level the comparison must stay strict in
+  // both modes: a sibling implementation with strictly higher flexibility
+  // pops this cost from the front at merge whatever the stream order, but
+  // a tie must survive (it may be the winner or an equivalent).
+  const bool below_level = *est < level_best[cand.level].get();
+  if (below_preceding || below_level) {
+    ++cand.bound_skipped;
+    return false;
+  }
+  return true;
+}
+
+/// The per-candidate work of EXPLORE, minus every front/incumbent mutation
+/// (those happen at merge).
+void evaluate_candidate(const EvalContext& ctx, double committed_f,
                         std::vector<AtomicMax>& level_best,
-                        BudgetTracker& tracker, BandCandidate& cand) {
+                        BandCandidate& cand) {
   SDF_FAULT_POINT("parallel_explore.evaluate");
-  if (tracker.exhausted()) {
+  if (ctx.tracker.exhausted()) {
     // Wind the band down fast: unevaluated slots go back to the pending
     // queue and are re-drawn after resume.
     cand.budget_aborted = true;
     return;
   }
-  const auto t0 = Clock::now();
-  if (options.prune_dominated_allocations &&
-      obviously_dominated(cs, dominance, cand.alloc)) {
-    ++cand.dominated_skipped;
-    cand.filter_seconds = seconds_since(t0);
-    return;
-  }
-  if (options.use_analysis_bound && impl_opts.use_analysis &&
-      impl_opts.analysis != nullptr &&
-      impl_opts.analysis->allocation_infeasible(cand.alloc)) {
-    ++cand.analysis_pruned;
-    cand.filter_seconds = seconds_since(t0);
-    return;
-  }
-  const Activatability act(cs, cand.alloc);
-  if (!act.root_activatable()) {
-    cand.filter_seconds = seconds_since(t0);
-    return;
-  }
-  ++cand.possible_allocations;
-  const std::optional<double> est = act.estimated_flexibility();
-  ++cand.flexibility_estimations;
-  SDF_CHECK(est.has_value(), "possible allocation without estimate");
+  const auto t0 = ctx.timed ? Clock::now() : Clock::time_point{};
+  const bool survives = passes_filters(ctx, committed_f, level_best, cand);
+  if (ctx.timed) cand.filter_seconds = seconds_since(t0);
+  if (!survives) return;
 
-  if (options.use_flexibility_bound) {
-    // Everything that precedes this candidate's cost level in stream order
-    // (merged bands, lower levels of this band) bounds it the same way the
-    // sequential incumbent would — the sequential f_cur at this candidate
-    // is at least as large as any value read here.
-    double preceding = committed_f;
-    for (std::size_t l = 0; l < cand.level; ++l)
-      preceding = std::max(preceding, level_best[l].get());
-    const bool below_preceding =
-        options.collect_equivalents ? *est < preceding : *est <= preceding;
-    // Within the own (equal-cost) level the comparison must stay strict in
-    // both modes: a sibling implementation with strictly higher flexibility
-    // pops this cost from the front at merge whatever the stream order, but
-    // a tie must survive (it may be the sequential winner or an equivalent).
-    const bool below_level = *est < level_best[cand.level].get();
-    if (below_preceding || below_level) {
-      ++cand.bound_skipped;
-      cand.filter_seconds = seconds_since(t0);
-      return;
-    }
-  }
-  cand.filter_seconds = seconds_since(t0);
-
-  const auto t1 = Clock::now();
+  const auto t1 = ctx.timed ? Clock::now() : Clock::time_point{};
   ++cand.implementation_attempts;
-  ImplementationStats istats;
   std::optional<Implementation> impl =
-      build_implementation(cs, cand.alloc, impl_opts, &istats);
-  cand.solver_calls = istats.solver_calls;
-  cand.solver_nodes = istats.solver_nodes;
-  cand.cache_hits_feasible = istats.cache_hits_feasible;
-  cand.cache_hits_infeasible = istats.cache_hits_infeasible;
-  cand.cache_revalidations = istats.cache_revalidations;
-  cand.analysis_pruned = istats.analysis_pruned;
-  cand.hier_subsolves = istats.hier_subsolves;
-  cand.hier_hits = istats.hier_hits;
-  cand.implement_seconds = seconds_since(t1);
-  if (istats.budget_exceeded()) {
+      build_implementation(ctx.cs, cand.alloc, ctx.impl, &cand.istats);
+  if (ctx.timed) cand.implement_seconds = seconds_since(t1);
+  if (cand.istats.budget_exceeded()) {
     cand.budget_aborted = true;
     return;
   }
@@ -163,32 +174,35 @@ void evaluate_candidate(const CompiledSpec& cs,
   cand.impl = std::move(*impl);
 }
 
-}  // namespace
+/// How an entry point drives the engine.
+struct EngineRun {
+  std::size_t threads = 1;
+  /// Candidates per band; 0 = adaptive (see next_band_capacity).
+  std::size_t band_capacity = 1;
+  /// Fill the band block of ExploreStats (`parallel_explore` only).
+  bool band_stats = false;
+  /// Upgrade mode: the frozen deployed platform every candidate contains.
+  /// Its implemented flexibility is the initial incumbent, costs are
+  /// judged relative to it, and no checkpoint is built.
+  const AllocSet* base = nullptr;
+  /// Upgrade mode: receives the implemented flexibility of `base`.
+  double* baseline_flexibility = nullptr;
+};
 
-ExploreResult parallel_explore(const SpecificationGraph& spec,
-                               const ExploreOptions& options) {
+ExploreResult run_engine(const SpecificationGraph& spec,
+                         const ExploreOptions& options, const EngineRun& run) {
   const auto t0 = Clock::now();
-
-  const std::size_t threads = options.num_threads != 0
-                                  ? options.num_threads
-                                  : ThreadPool::hardware_threads();
-  // Band sizing.  A fixed `band_capacity` pins the size; otherwise the
-  // adaptive controller below steers the number of candidates that survive
-  // the cheap filters (= implementation attempts) per band towards
-  // `band_target`: mostly-filtered bands double the capacity so the merge
-  // barrier stops dominating, attempt-heavy bands halve it so workers
-  // evaluate against a fresher incumbent.  The merged front is band-size
-  // invariant (the merge replays exact stream order), so adaptation can
-  // only shift wall time, never results.
-  const bool adaptive_bands = options.band_capacity == 0;
-  const std::size_t base_capacity = std::max<std::size_t>(threads * 8, 16);
-  const std::size_t min_capacity = std::max<std::size_t>(threads, 4);
-  const std::size_t max_capacity = std::max<std::size_t>(base_capacity, 4096);
-  std::size_t capacity =
-      adaptive_bands ? base_capacity : options.band_capacity;
-  const std::size_t band_target =
-      options.band_target != 0 ? options.band_target
-                               : std::max<std::size_t>(threads * 2, 8);
+  const std::size_t threads = run.threads;
+  const bool timed = threads > 1;
+  // Band sizing.  A fixed capacity pins the size (one candidate per band is
+  // the classic one-at-a-time loop); otherwise next_band_capacity steers it
+  // by the measured number of implementation attempts per band.  The merged
+  // front is band-size invariant (the merge replays exact stream order), so
+  // band sizing only shifts wall time, never results.
+  const bool adaptive_bands = run.band_capacity == 0;
+  std::size_t capacity = adaptive_bands
+                             ? std::max<std::size_t>(threads * 8, 16)
+                             : run.band_capacity;
 
   ExploreResult result;
   // Build (or revalidate) the compiled query index on the merge thread
@@ -197,31 +211,29 @@ ExploreResult parallel_explore(const SpecificationGraph& spec,
   const CompiledSpec& cs = spec.compiled();
   result.stats.index_build_seconds = seconds_since(t0);
   result.max_flexibility = max_flexibility(cs.problem());
-  result.stats.universe = cs.unit_count();
+  const AllocSet base =
+      run.base != nullptr ? *run.base : cs.make_alloc_set();
+  const double base_cost = cs.allocation_cost(base);
+  result.stats.universe = cs.unit_count() - base.count();
   result.stats.raw_design_points =
       std::pow(2.0, static_cast<double>(result.stats.universe));
-  result.stats.threads = threads;
 
   BudgetTracker tracker(options.budget);
   // Workers charge every solver node to the shared tracker; the merge
   // thread charges allocations during band assembly.
   ImplementationOptions eval_impl = options.implementation;
   eval_impl.solver.budget = &tracker;
-  // One binding cache shared by all band workers (epoch-snapshot reads,
-  // copy-on-write publishes).  It only skips work whose outcome is already
-  // proven, so the merged front stays bit-identical to the sequential
-  // engine's whatever the thread schedule.
+  // Run-local caches and analyzer, shared by all band workers and rebuilt
+  // from scratch on resume (derived data, deliberately not checkpointed —
+  // see docs/ROBUSTNESS.md).  The caches are sharded mutexes and only skip
+  // work whose outcome is already proven, and every analyzer query is
+  // const, so the merged front is the same whatever the thread schedule.
   BindCache bind_cache;
   if (eval_impl.use_bind_cache && eval_impl.bind_cache == nullptr)
     eval_impl.bind_cache = &bind_cache;
-  // One hierarchical sub-solve cache shared by all band workers (sharded
-  // mutexes; it only skips work whose verdict is already proven, so the
-  // merged front stays bit-identical whatever the thread schedule).
   HierCache hier_cache;
   if (eval_impl.use_hier && eval_impl.hier_cache == nullptr)
     eval_impl.hier_cache = &hier_cache;
-  // Run-local static analyzer, shared read-only by all band workers (all
-  // queries are const; see analysis/analysis.hpp).
   std::optional<SpecAnalysis> analysis_store;
   if (eval_impl.use_analysis && eval_impl.analysis == nullptr) {
     analysis_store.emplace(cs, AnalysisOptions{eval_impl.solver});
@@ -233,8 +245,18 @@ ExploreResult parallel_explore(const SpecificationGraph& spec,
   double f_cur = 0.0;          // committed incumbent: merged candidates only
   double max_tie_cost = -1.0;  // collect_equivalents end-of-search tie cost
 
+  if (run.base != nullptr) {
+    // The deployed platform costs no run budget; evaluating it also warms
+    // the caches for its supersets.
+    ImplementationOptions base_impl = eval_impl;
+    base_impl.solver.budget = nullptr;
+    if (const auto impl = build_implementation(cs, base, base_impl))
+      f_cur = impl->flexibility;
+    *run.baseline_flexibility = f_cur;
+  }
+
   const DominanceContext dominance(cs);
-  CostOrderedAllocations stream(cs);
+  CostOrderedAllocations stream(cs, base);
   // Candidates a prior interrupted run drained but never evaluated; always
   // consumed before the stream (they precede it in stream order).
   std::deque<AllocSet> pending;
@@ -263,24 +285,32 @@ ExploreResult parallel_explore(const SpecificationGraph& spec,
   const bool analysis_bound = options.use_analysis_bound && analysis != nullptr;
   if (options.use_branch_bound || analysis_bound) {
     // Runs on the merge thread during band assembly, against the committed
-    // incumbent — a (possibly stale) lower bound on the sequential f_cur at
-    // the same stream position, so it can only prune less, never wrongly.
+    // incumbent — a (possibly stale) lower bound on the one-at-a-time f_cur
+    // at the same stream position, so it can only prune less, never wrongly.
     stream.set_branch_bound([&, analysis_bound,
                              branch_bound = options.use_branch_bound,
                              collect = options.collect_equivalents](
                                 const AllocSet& potential) {
+      // Relaxation bound (opt-in): infeasibility is monotone downward in
+      // the allocation, so a proof on the optimistic completion covers
+      // every descendant of this subtree.
       if (analysis_bound && analysis->allocation_infeasible(potential)) {
         ++result.stats.analysis_pruned;
         return false;
       }
       if (!branch_bound) return true;
-      if (f_cur <= 0.0) return true;
+      if (f_cur <= 0.0) return true;  // nothing to beat yet
       const std::optional<double> est = estimate_flexibility(cs, potential);
       if (!est.has_value()) return false;
+      // Equivalent collection must keep subtrees that can still *tie* the
+      // incumbent, not only beat it.
       return collect ? *est >= f_cur : *est > f_cur;
     });
   }
 
+  const EvalContext ctx{cs,       options,  eval_impl,
+                        dominance, analysis_bound ? analysis : nullptr,
+                        run.base, tracker,  timed};
   // The merge thread helps evaluate via ThreadPool::wait_idle, so the pool
   // holds one worker fewer than the requested thread count.
   std::optional<ThreadPool> pool;
@@ -288,6 +318,7 @@ ExploreResult parallel_explore(const SpecificationGraph& spec,
 
   std::vector<BandCandidate> band;
   band.reserve(capacity);
+  std::vector<AtomicMax> level_best;  // one shared maximum per cost level
   // Stream-order candidates the budget forced us to abandon: the band
   // suffix from the first aborted slot, plus the candidate whose
   // allocation charge was refused.  First entry bounds the certificate.
@@ -298,7 +329,7 @@ ExploreResult parallel_explore(const SpecificationGraph& spec,
   bool alloc_cap_hit = false; // cap detected pre-trip during assembly
   while (!done && !last_band && !interrupted) {
     // ---- assemble: drain candidates in stream order into one band --------
-    const auto ta = Clock::now();
+    const auto ta = timed ? Clock::now() : Clock::time_point{};
     band.clear();
     std::size_t levels = 0;
     while (band.size() < capacity) {
@@ -313,7 +344,7 @@ ExploreResult parallel_explore(const SpecificationGraph& spec,
         last_band = true;
         break;
       }
-      if (a->none()) continue;  // the empty base costs no candidate budget
+      if (*a == base) continue;  // the stream's base costs no budget
       if (!tracker.allocation_budget_left()) {
         // Probe the cap without tripping the (sticky) tracker: the band
         // assembled so far was already charged and must still evaluate.
@@ -334,48 +365,53 @@ ExploreResult parallel_explore(const SpecificationGraph& spec,
         last_band = true;
         break;
       }
-      const double cost = cs.allocation_cost(*a);
+      // Costs group a band into levels and end an equivalents walk; a band
+      // of one outside such a walk needs neither.
+      const double cost = capacity > 1 || max_tie_cost >= 0.0
+                              ? cs.allocation_cost(*a)
+                              : 0.0;
       if (max_tie_cost >= 0.0 && cost > max_tie_cost) {
         last_band = true;
         break;
       }
-      BandCandidate cand;
+      // Levels group *consecutive* equal-cost candidates; the incumbent-
+      // sharing rules in passes_filters rely on every lower level
+      // preceding this one in stream order.
+      if (band.empty() || cost != band.back().cost) ++levels;
+      BandCandidate& cand = band.emplace_back();
       cand.alloc = std::move(*a);
       cand.cost = cost;
-      // Levels group *consecutive* equal-cost candidates; the incumbent-
-      // sharing rules in evaluate_candidate rely on every lower level
-      // preceding this one in stream order.
-      if (band.empty() || cand.cost != band.back().cost) ++levels;
       cand.level = levels - 1;
-      band.push_back(std::move(cand));
     }
-    result.stats.enumerate_seconds += seconds_since(ta);
+    if (timed) result.stats.enumerate_seconds += seconds_since(ta);
     if (band.empty()) break;
-    ++result.stats.bands;
-    result.stats.peak_band_size =
-        std::max(result.stats.peak_band_size, band.size());
+    if (run.band_stats) {
+      ++result.stats.bands;
+      result.stats.peak_band_size =
+          std::max(result.stats.peak_band_size, band.size());
+    }
 
     // ---- evaluate: all candidates of the band, concurrently --------------
-    const auto te = Clock::now();
-    std::vector<AtomicMax> level_best(levels);
+    const auto te = timed ? Clock::now() : Clock::time_point{};
+    if (level_best.size() < levels)
+      level_best = std::vector<AtomicMax>(levels);
+    for (std::size_t l = 0; l < levels; ++l) level_best[l].reset();
     const double committed = f_cur;
     Status eval_status;
     if (pool.has_value()) {
       eval_status = pool->parallel_for(band.size(), [&](std::size_t i) {
-        evaluate_candidate(cs, options, eval_impl, dominance, committed,
-                           level_best, tracker, band[i]);
+        evaluate_candidate(ctx, committed, level_best, band[i]);
       });
     } else {
       try {
         for (BandCandidate& cand : band)
-          evaluate_candidate(cs, options, eval_impl, dominance, committed,
-                             level_best, tracker, cand);
+          evaluate_candidate(ctx, committed, level_best, cand);
       } catch (const std::exception& e) {
         eval_status =
             Error{std::string("worker task failed: ") + e.what()};
       }
     }
-    result.stats.evaluate_seconds += seconds_since(te);
+    if (timed) result.stats.evaluate_seconds += seconds_since(te);
 
     // A failed worker makes every outcome of this band ambiguous (the pool
     // still ran the remaining tasks, but nothing may be trusted): merge
@@ -396,29 +432,30 @@ ExploreResult parallel_explore(const SpecificationGraph& spec,
     }
     if (cutoff < band.size()) interrupted = true;
 
-    // ---- merge: stream order, exactly the sequential acceptance rules ----
+    // ---- merge: stream order, EXPLORE's acceptance rules -----------------
     // Only the band prefix up to the first abandoned candidate is merged;
     // the suffix (abandoned or not) keeps the merge gap-free in stream
     // order and is queued for re-evaluation, with its work charges rolled
     // back (the counters of unmerged slots are simply never accumulated).
-    const auto tm = Clock::now();
+    const auto tm = timed ? Clock::now() : Clock::time_point{};
     for (std::size_t i = 0; i < cutoff; ++i) {
       const BandCandidate& cand = band[i];
-      result.stats.dominated_skipped += cand.dominated_skipped;
-      result.stats.possible_allocations += cand.possible_allocations;
-      result.stats.flexibility_estimations += cand.flexibility_estimations;
-      result.stats.bound_skipped += cand.bound_skipped;
-      result.stats.implementation_attempts += cand.implementation_attempts;
-      result.stats.solver_calls += cand.solver_calls;
-      result.stats.solver_nodes += cand.solver_nodes;
-      result.stats.cache_hits_feasible += cand.cache_hits_feasible;
-      result.stats.cache_hits_infeasible += cand.cache_hits_infeasible;
-      result.stats.cache_revalidations += cand.cache_revalidations;
-      result.stats.analysis_pruned += cand.analysis_pruned;
-      result.stats.hier_subsolves += cand.hier_subsolves;
-      result.stats.hier_hits += cand.hier_hits;
-      result.stats.filter_cpu_seconds += cand.filter_seconds;
-      result.stats.implement_cpu_seconds += cand.implement_seconds;
+      ExploreStats& s = result.stats;
+      s.dominated_skipped += cand.dominated_skipped;
+      s.possible_allocations += cand.possible_allocations;
+      s.flexibility_estimations += cand.flexibility_estimations;
+      s.bound_skipped += cand.bound_skipped;
+      s.implementation_attempts += cand.implementation_attempts;
+      s.solver_calls += cand.istats.solver_calls;
+      s.solver_nodes += cand.istats.solver_nodes;
+      s.cache_hits_feasible += cand.istats.cache_hits_feasible;
+      s.cache_hits_infeasible += cand.istats.cache_hits_infeasible;
+      s.cache_revalidations += cand.istats.cache_revalidations;
+      s.analysis_pruned += cand.istats.analysis_pruned;
+      s.hier_subsolves += cand.istats.hier_subsolves;
+      s.hier_hits += cand.istats.hier_hits;
+      s.filter_cpu_seconds += cand.filter_seconds;
+      s.implement_cpu_seconds += cand.implement_seconds;
     }
     for (std::size_t i = 0; i < cutoff && !done; ++i) {
       BandCandidate& cand = band[i];
@@ -429,6 +466,8 @@ ExploreResult parallel_explore(const SpecificationGraph& spec,
       if (!cand.impl.has_value()) continue;
       Implementation impl = std::move(*cand.impl);
       if (impl.flexibility <= f_cur) {
+        // Equivalent Pareto point: same cost and flexibility as the current
+        // front point, different allocation.
         if (options.collect_equivalents && !result.front.empty() &&
             impl.flexibility == f_cur &&
             impl.cost == result.front.back().cost &&
@@ -437,11 +476,12 @@ ExploreResult parallel_explore(const SpecificationGraph& spec,
         }
         continue;
       }
+      // Same-cost predecessors with lower flexibility are dominated now.
       while (!result.front.empty() &&
              result.front.back().cost >= impl.cost) {
         result.front.pop_back();
       }
-      log_debug(strprintf("EXPLORE[par]: new Pareto point cost=%s f=%s (%s)",
+      log_debug(strprintf("EXPLORE: new Pareto point cost=%s f=%s (%s)",
                           format_double(impl.cost).c_str(),
                           format_double(impl.flexibility).c_str(),
                           spec.allocation_names(impl.units).c_str()));
@@ -454,23 +494,23 @@ ExploreResult parallel_explore(const SpecificationGraph& spec,
           done = true;
           break;
         }
+        // Keep walking only through the cost tie of the maximal point; the
+        // stream is cost-ordered, so the first strictly costlier candidate
+        // ends the search.
         max_tie_cost = result.front.back().cost;
       }
     }
-    result.stats.merge_seconds += seconds_since(tm);
+    if (timed) result.stats.merge_seconds += seconds_since(tm);
 
     // ---- adapt: steer the next band's capacity by this band's yield ------
     if (adaptive_bands && eval_status.ok() && cutoff == band.size()) {
       std::uint64_t attempted = 0;
       for (const BandCandidate& cand : band)
         attempted += cand.implementation_attempts;
-      if (attempted * 2 < band_target && capacity < max_capacity) {
-        capacity = std::min(capacity * 2, max_capacity);
-        ++result.stats.bands_grown;
-      } else if (attempted > 2 * band_target && capacity > min_capacity) {
-        capacity = std::max(capacity / 2, min_capacity);
-        ++result.stats.bands_shrunk;
-      }
+      const std::size_t next = next_band_capacity(capacity, attempted, threads);
+      if (next > capacity) ++result.stats.bands_grown;
+      if (next < capacity) ++result.stats.bands_shrunk;
+      capacity = next;
     }
 
     if (cutoff < band.size() && !done) {
@@ -496,7 +536,10 @@ ExploreResult parallel_explore(const SpecificationGraph& spec,
                        f_cur < result.max_flexibility - 1e-9);
   result.stats.branches_pruned = stream.pruned();
   result.stats.frontier_remaining = stream.frontier_size();
-  result.stats.band_capacity_last = capacity;
+  if (run.band_stats) {
+    result.stats.threads = threads;
+    result.stats.band_capacity_last = capacity;
+  }
 
   if (interrupted) {
     // Leftover resume candidates follow the band/carry entries in stream
@@ -505,19 +548,26 @@ ExploreResult parallel_explore(const SpecificationGraph& spec,
     SDF_CHECK(!unprocessed.empty(), "interrupted run without pending work");
     if (alloc_cap_hit) tracker.note_allocations_exhausted();
     result.stats.stop_reason = tracker.reason();
-    result.stats.exact_up_to_cost = cs.allocation_cost(unprocessed.front());
-    Result<ExploreCheckpoint> ck =
-        build_explore_checkpoint(spec, options, result.front, unprocessed,
-                                 stream, checkpoint_counters(result.stats));
-    if (!ck.ok()) {
-      result.status = ck.error();
-      result.stats.wall_seconds = seconds_since(t0);
-      return result;
+    // Completeness certificate: the first unprocessed candidate is the
+    // cheapest one the run never finished, so the front is exact below it.
+    result.stats.exact_up_to_cost =
+        cs.allocation_cost(unprocessed.front()) - base_cost;
+    if (run.base == nullptr) {
+      Result<ExploreCheckpoint> ck =
+          build_explore_checkpoint(spec, options, result.front, unprocessed,
+                                   stream, checkpoint_counters(result.stats));
+      if (!ck.ok()) {
+        result.status = ck.error();
+        result.stats.wall_seconds = seconds_since(t0);
+        return result;
+      }
+      result.checkpoint = std::move(ck).value();
     }
-    result.checkpoint = std::move(ck).value();
     log_debug(strprintf(
-        "EXPLORE[par]: interrupted (%s); front exact below cost %s",
+        "EXPLORE: interrupted (%s) after %llu candidates; front exact below "
+        "cost %s",
         stop_reason_name(result.stats.stop_reason),
+        static_cast<unsigned long long>(result.stats.candidates_generated),
         format_double(result.stats.exact_up_to_cost).c_str()));
   }
 
@@ -529,6 +579,61 @@ ExploreResult parallel_explore(const SpecificationGraph& spec,
   result.stats.flat_cache_evictions = cs.flat_cache_evictions();
 
   result.stats.wall_seconds = seconds_since(t0);
+  return result;
+}
+
+}  // namespace
+
+std::size_t next_band_capacity(std::size_t capacity, std::uint64_t attempted,
+                               std::size_t threads) {
+  const std::uint64_t target = std::max<std::size_t>(threads * 2, 8);
+  const std::size_t min_capacity = std::max<std::size_t>(threads, 4);
+  const std::size_t max_capacity = std::max<std::size_t>(threads * 8, 4096);
+  if (attempted * 2 < target) return std::min(capacity * 2, max_capacity);
+  if (attempted > 2 * target) return std::max(capacity / 2, min_capacity);
+  return capacity;
+}
+
+ExploreResult explore(const SpecificationGraph& spec,
+                      const ExploreOptions& options) {
+  return run_engine(spec, options, EngineRun{});
+}
+
+ExploreResult parallel_explore(const SpecificationGraph& spec,
+                               const ExploreOptions& options) {
+  EngineRun run;
+  run.threads = options.num_threads != 0 ? options.num_threads
+                                         : ThreadPool::hardware_threads();
+  // One thread evaluates one candidate at a time: no band to fill.
+  run.band_capacity = options.band_capacity != 0 ? options.band_capacity
+                      : run.threads == 1         ? 1
+                                                 : 0;
+  run.band_stats = true;
+  return run_engine(spec, options, run);
+}
+
+UpgradeResult explore_upgrades(const SpecificationGraph& spec,
+                               const AllocSet& existing,
+                               const ExploreOptions& options) {
+  UpgradeResult result;
+  EngineRun run;
+  run.base = &existing;
+  run.baseline_flexibility = &result.baseline_flexibility;
+  ExploreOptions upgrade_options = options;
+  upgrade_options.resume = nullptr;  // upgrades build no checkpoint
+  ExploreResult explored = run_engine(spec, upgrade_options, run);
+  if (!explored.status.ok())
+    throw std::runtime_error(explored.status.error().message);
+
+  // Includes any device interface newly brought in by an added
+  // configuration (charged once, like allocation_cost itself).
+  const double base_cost = spec.compiled().allocation_cost(existing);
+  for (Implementation& impl : explored.front) {
+    const double upgrade_cost = impl.cost - base_cost;
+    result.front.push_back(Upgrade{std::move(impl), upgrade_cost});
+  }
+  result.max_flexibility = explored.max_flexibility;
+  result.stats = explored.stats;
   return result;
 }
 

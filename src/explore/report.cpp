@@ -98,7 +98,8 @@ Json explore_result_to_json(const SpecificationGraph& spec,
     stats.emplace_back("exact_up_to_cost",
                        Json(result.stats.exact_up_to_cost));
   if (result.stats.threads != 0) {
-    // Parallel-engine extras: band shape and the per-phase time breakdown.
+    // Band block (parallel_explore only): band shape and the per-phase
+    // time breakdown, whose timers read 0 at one thread.
     stats.emplace_back("threads", Json(result.stats.threads));
     stats.emplace_back("bands",
                        Json(static_cast<double>(result.stats.bands)));

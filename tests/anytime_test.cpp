@@ -564,5 +564,54 @@ TEST(AnytimeIncremental, AllocationBudgetStopsWithUpgradeCertificate) {
   EXPECT_FALSE(result.stats.exhausted);
 }
 
+TEST(AnytimeIncremental, SolverNodeStopRollsBackTheAbandonedCandidate) {
+  // A node budget that trips inside a binding search abandons that
+  // candidate: it counts as unexamined and its work is rolled back exactly
+  // as explore() does it.  One node cannot finish the first search, so
+  // nothing was attempted, and the counters equal those of a run whose
+  // allocation cap stops right before the same candidate.
+  const SpecificationGraph& spec = settop();
+  const AllocSet uP2 = [&] {
+    AllocSet a = spec.make_alloc_set();
+    a.set(spec.find_unit("uP2").index());
+    return a;
+  }();
+  ExploreOptions nodes;
+  nodes.budget.max_solver_nodes = 1;
+  const UpgradeResult stopped = explore_upgrades(spec, uP2, nodes);
+  ASSERT_EQ(stopped.stats.stop_reason, StopReason::kSolverNodes);
+  EXPECT_EQ(stopped.stats.budget_abandoned, 1u);
+  EXPECT_GT(stopped.stats.candidates_generated, 0u);
+  EXPECT_EQ(stopped.stats.implementation_attempts, 0u);
+  EXPECT_EQ(stopped.stats.solver_calls, 0u);
+  EXPECT_TRUE(stopped.front.empty());
+
+  ExploreOptions allocations;
+  allocations.budget.max_allocations = stopped.stats.candidates_generated;
+  const UpgradeResult capped = explore_upgrades(spec, uP2, allocations);
+  ASSERT_EQ(capped.stats.stop_reason, StopReason::kAllocations);
+  EXPECT_EQ(capped.stats.exact_up_to_cost, stopped.stats.exact_up_to_cost);
+  EXPECT_EQ(capped.stats.candidates_generated,
+            stopped.stats.candidates_generated);
+  EXPECT_EQ(capped.stats.possible_allocations,
+            stopped.stats.possible_allocations);
+  EXPECT_EQ(capped.stats.implementation_attempts,
+            stopped.stats.implementation_attempts);
+  EXPECT_EQ(capped.stats.solver_calls, stopped.stats.solver_calls);
+  EXPECT_EQ(capped.front.size(), stopped.front.size());
+
+  // From an empty platform the upgrade run is explore() itself, charges
+  // and rollback included.
+  const UpgradeResult from_nothing =
+      explore_upgrades(spec, spec.make_alloc_set(), nodes);
+  const ExploreResult plain = explore(spec, nodes);
+  ASSERT_EQ(plain.stats.stop_reason, StopReason::kSolverNodes);
+  EXPECT_EQ(from_nothing.stats.stop_reason, StopReason::kSolverNodes);
+  EXPECT_EQ(from_nothing.stats.budget_abandoned, 1u);
+  EXPECT_EQ(from_nothing.stats.exact_up_to_cost,
+            plain.stats.exact_up_to_cost);
+  expect_same_counters(from_nothing.stats, plain.stats);
+}
+
 }  // namespace
 }  // namespace sdf

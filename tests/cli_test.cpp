@@ -283,14 +283,13 @@ TEST_F(CliTest, ExploreRejectsBadFlags) {
   EXPECT_EQ(run({"explore", settop_path(), "--deadline-ms=-5"}), 2);
   EXPECT_EQ(run({"explore", settop_path(), "--resume"}), 2);  // no --checkpoint
   EXPECT_EQ(run({"explore", settop_path(), "--threads=-1"}), 2);
-  EXPECT_EQ(run({"explore", settop_path(), "--band-target=-1"}), 2);
 }
 
 TEST_F(CliTest, ExploreThreadsZeroAutoDetectsHardwareConcurrency) {
-  // --threads 0 selects the parallel engine with one worker per hardware
+  // --threads 0 runs the engine with one worker per hardware
   // thread; the resolved count (>= 1 even when hardware_concurrency()
   // reports 0) must show up in the stats, and the front must match the
-  // sequential default byte for byte.
+  // one-thread default byte for byte.
   EXPECT_EQ(run({"explore", settop_path(), "--json", "--threads=0"}), 0);
   Result<Json> doc = Json::parse(out_.str());
   ASSERT_TRUE(doc.ok()) << doc.error().message;
@@ -303,19 +302,30 @@ TEST_F(CliTest, ExploreThreadsZeroAutoDetectsHardwareConcurrency) {
   EXPECT_GE(stats->number_or("band_capacity_last", 0), 1.0);
 }
 
-TEST_F(CliTest, ExploreBandTargetFlagReachesTheAdaptiveController) {
-  // An absurd setpoint forces the controller to grow bands; the result is
-  // still the settop front and the JSON reports the controller activity.
-  EXPECT_EQ(run({"explore", settop_path(), "--json", "--threads=2",
-                 "--band-target=100000"}),
-            0);
-  Result<Json> doc = Json::parse(out_.str());
-  ASSERT_TRUE(doc.ok()) << doc.error().message;
-  EXPECT_EQ(doc.value().find("front")->as_array().size(), 6u);
-  const Json* stats = doc.value().find("stats");
+TEST_F(CliTest, ExploreReportsTheBandBlockAtEveryThreadCount) {
+  // One engine serves every --threads value.  At one thread it evaluates
+  // one candidate per band, so the controller never moves; with more, the
+  // adaptive controller grows the mostly-filtered settop bands.
+  EXPECT_EQ(run({"explore", settop_path(), "--json"}), 0);
+  Result<Json> one = Json::parse(out_.str());
+  ASSERT_TRUE(one.ok()) << one.error().message;
+  EXPECT_EQ(one.value().find("front")->as_array().size(), 6u);
+  const Json* stats = one.value().find("stats");
   ASSERT_NE(stats, nullptr);
-  EXPECT_GE(stats->number_or("bands_grown", -1), 0.0);
-  EXPECT_EQ(stats->number_or("bands_shrunk", -1), 0.0);
+  EXPECT_EQ(stats->number_or("threads", -1), 1.0);
+  EXPECT_EQ(stats->number_or("bands", -1),
+            stats->number_or("candidates_generated", -2));
+  EXPECT_EQ(stats->number_or("band_capacity_last", -1), 1.0);
+  EXPECT_EQ(stats->number_or("bands_grown", -1), 0.0);
+
+  EXPECT_EQ(run({"explore", settop_path(), "--json", "--threads=2"}), 0);
+  Result<Json> two = Json::parse(out_.str());
+  ASSERT_TRUE(two.ok()) << two.error().message;
+  EXPECT_EQ(two.value().find("front")->as_array().size(), 6u);
+  stats = two.value().find("stats");
+  ASSERT_NE(stats, nullptr);
+  EXPECT_EQ(stats->number_or("threads", -1), 2.0);
+  EXPECT_GT(stats->number_or("bands_grown", -1), 0.0);
 }
 
 TEST_F(CliTest, ExploreBudgetExhaustionExitsThreeAndWritesCheckpoint) {

@@ -84,7 +84,8 @@ TEST(Incremental, FullPlatformHasNoUpgrades) {
 }
 
 TEST(Incremental, EmptyBaselineMatchesPlainExploreFront) {
-  // Upgrading from nothing is ordinary exploration: same (cost, f) points.
+  // Upgrading from nothing is ordinary exploration: same (cost, f) points,
+  // reached with the same work.
   const SpecificationGraph& spec = settop();
   const UpgradeResult up = explore_upgrades(spec, spec.make_alloc_set());
   const ExploreResult plain = explore(spec);
@@ -95,6 +96,18 @@ TEST(Incremental, EmptyBaselineMatchesPlainExploreFront) {
               plain.front[i].flexibility);
   }
   EXPECT_EQ(up.baseline_flexibility, 0.0);
+  EXPECT_EQ(up.stats.universe, plain.stats.universe);
+  EXPECT_EQ(up.stats.candidates_generated, plain.stats.candidates_generated);
+  EXPECT_EQ(up.stats.dominated_skipped, plain.stats.dominated_skipped);
+  EXPECT_EQ(up.stats.possible_allocations, plain.stats.possible_allocations);
+  EXPECT_EQ(up.stats.flexibility_estimations,
+            plain.stats.flexibility_estimations);
+  EXPECT_EQ(up.stats.bound_skipped, plain.stats.bound_skipped);
+  EXPECT_EQ(up.stats.implementation_attempts,
+            plain.stats.implementation_attempts);
+  EXPECT_EQ(up.stats.solver_calls, plain.stats.solver_calls);
+  EXPECT_EQ(up.stats.solver_nodes, plain.stats.solver_nodes);
+  EXPECT_EQ(up.stats.branches_pruned, plain.stats.branches_pruned);
 }
 
 TEST(Incremental, SunkResourcesAreNotPenalized) {

@@ -1,10 +1,12 @@
 // Tests for the parallel cost-band EXPLORE engine and its thread pool.
 //
 // The contract under test is strong: for ANY thread count and band capacity,
-// `parallel_explore` must return a result bit-identical to the sequential
-// `explore` — same Pareto points in the same order, same allocations, same
-// equivalents, same exhausted flag.  Everything here asserts that identity
-// on the paper's case study and on generated platforms.
+// `parallel_explore` must return a result bit-identical to `explore` (the
+// same engine at one thread, one candidate per band) — same Pareto points
+// in the same order, same allocations, same equivalents, same exhausted
+// flag; at one thread also every deterministic work counter.  Everything
+// here asserts that identity on the paper's case study and on generated
+// platforms.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -97,7 +99,7 @@ TEST(ThreadPool, UnevenTaskDurationsAreStolen) {
   EXPECT_EQ(done.load(), 64);
 }
 
-// ---- identity with the sequential engine -----------------------------------
+// ---- identity with explore() ------------------------------------------------
 
 class ParallelThreadSweep : public ::testing::TestWithParam<std::size_t> {};
 
@@ -177,6 +179,51 @@ TEST(ParallelExplore, LargeGeneratedSpecIdenticalToSequential) {
   }
 }
 
+TEST(ParallelExplore, OneThreadMatchesExploreInEveryCounter) {
+  // At one thread `parallel_explore` evaluates one candidate per band, so
+  // it is `explore()` step for step: not only the front but every work
+  // counter must agree (a wider band would draw extra candidates past the
+  // point where the stream is cut short, and prune branches differently).
+  for (const PlatformPreset preset :
+       {PlatformPreset::kSetTopBox, PlatformPreset::kAutomotiveEcu}) {
+    for (const bool equivalents : {false, true}) {
+      SCOPED_TRACE(std::string(preset_name(preset)) +
+                   " equivalents=" + std::to_string(equivalents));
+      const SpecificationGraph spec =
+          generate_preset(preset, preset == PlatformPreset::kSetTopBox ? 1 : 17);
+      ExploreOptions options;
+      options.collect_equivalents = equivalents;
+      options.num_threads = 1;
+      const ExploreResult seq = explore(spec, options);
+      const ExploreResult par = parallel_explore(spec, options);
+      expect_identical(seq, par);
+      const ExploreStats& a = seq.stats;
+      const ExploreStats& b = par.stats;
+      EXPECT_EQ(a.candidates_generated, b.candidates_generated);
+      EXPECT_EQ(a.dominated_skipped, b.dominated_skipped);
+      EXPECT_EQ(a.possible_allocations, b.possible_allocations);
+      EXPECT_EQ(a.flexibility_estimations, b.flexibility_estimations);
+      EXPECT_EQ(a.bound_skipped, b.bound_skipped);
+      EXPECT_EQ(a.implementation_attempts, b.implementation_attempts);
+      EXPECT_EQ(a.solver_calls, b.solver_calls);
+      EXPECT_EQ(a.solver_nodes, b.solver_nodes);
+      EXPECT_EQ(a.cache_hits_feasible, b.cache_hits_feasible);
+      EXPECT_EQ(a.cache_hits_infeasible, b.cache_hits_infeasible);
+      EXPECT_EQ(a.cache_revalidations, b.cache_revalidations);
+      EXPECT_EQ(a.analysis_pruned, b.analysis_pruned);
+      EXPECT_EQ(a.branches_pruned, b.branches_pruned);
+      EXPECT_EQ(a.frontier_remaining, b.frontier_remaining);
+      // Only the band block tells the entry points apart.
+      EXPECT_EQ(a.threads, 0u);
+      EXPECT_EQ(a.bands, 0u);
+      EXPECT_EQ(b.threads, 1u);
+      EXPECT_EQ(b.bands, b.candidates_generated);
+      EXPECT_EQ(b.peak_band_size, 1u);
+      EXPECT_EQ(b.band_capacity_last, 1u);
+    }
+  }
+}
+
 TEST(ParallelExplore, BandCapacityDoesNotChangeTheResult) {
   const SpecificationGraph& spec = settop();
   ExploreOptions options;
@@ -191,39 +238,17 @@ TEST(ParallelExplore, BandCapacityDoesNotChangeTheResult) {
   }
 }
 
-TEST(ParallelExplore, BandTargetDoesNotChangeTheResult) {
-  // The adaptive controller (band_capacity == 0) re-sizes bands from the
-  // measured per-band implementation attempts; any setpoint — including
-  // extreme ones that force constant growing/shrinking — must leave the
-  // merged front bit-identical to the sequential engine's.
-  const SpecificationGraph& spec = settop();
-  ExploreOptions base;
-  base.stop_at_max_flexibility = false;
-  const ExploreResult seq = explore(spec, base);
-  for (const std::size_t target : {1u, 4u, 1000u}) {
-    SCOPED_TRACE("band_target=" + std::to_string(target));
-    ExploreOptions options = base;
-    options.num_threads = 4;
-    options.band_target = target;
-    const ExploreResult par = parallel_explore(spec, options);
-    expect_identical(seq, par);
-    EXPECT_GT(par.stats.band_capacity_last, 0u);
-  }
-}
-
 TEST(ParallelExplore, AdaptiveControllerGrowsMostlyFilteredBands) {
-  // With a huge setpoint every band under-shoots the target, so the
-  // controller must keep doubling the capacity (up to its clamp); a pinned
-  // band_capacity must disable the controller entirely.
+  // Most settop bands attempt fewer implementations than the setpoint, so
+  // the controller must double the capacity beyond its starting size; a
+  // pinned band_capacity must disable the controller entirely.
   const SpecificationGraph& spec = settop();
   ExploreOptions adaptive;
   adaptive.stop_at_max_flexibility = false;
   adaptive.num_threads = 2;
-  adaptive.band_target = 100000;
   const ExploreResult grown = parallel_explore(spec, adaptive);
   ASSERT_TRUE(grown.status.ok());
   EXPECT_GT(grown.stats.bands_grown, 0u);
-  EXPECT_EQ(grown.stats.bands_shrunk, 0u);
   EXPECT_GT(grown.stats.band_capacity_last,
             std::max<std::size_t>(adaptive.num_threads * 8, 16));
 
@@ -239,25 +264,40 @@ TEST(ParallelExplore, AdaptiveControllerGrowsMostlyFilteredBands) {
 }
 
 TEST(ParallelExplore, AdaptiveControllerShrinksAttemptHeavyBands) {
-  // A setpoint of 1 makes every band that attempts two or more
-  // implementations overshoot, so on a spec with many survivors the
-  // controller must halve the capacity at least once (never below its
-  // floor), again without touching the front.
+  // The controller's step: the setpoint is max(2 * threads, 8) attempts
+  // per band.  A band attempting more than twice that halves the capacity
+  // (never below max(threads, 4)); one attempting under half of it doubles
+  // the capacity (never above max(8 * threads, 4096)); anything between
+  // keeps it.
+  EXPECT_EQ(next_band_capacity(64, 17, 2), 32u);
+  EXPECT_EQ(next_band_capacity(64, 65, 16), 32u);
+  EXPECT_EQ(next_band_capacity(6, 100, 2), 4u);
+  EXPECT_EQ(next_band_capacity(4, 100, 2), 4u);
+  EXPECT_EQ(next_band_capacity(32, 100, 16), 16u);
+  EXPECT_EQ(next_band_capacity(16, 100, 16), 16u);
+  EXPECT_EQ(next_band_capacity(16, 3, 2), 32u);
+  EXPECT_EQ(next_band_capacity(4096, 0, 2), 4096u);
+  EXPECT_EQ(next_band_capacity(8192, 0, 1024), 8192u);
+  EXPECT_EQ(next_band_capacity(16, 4, 2), 16u);
+  EXPECT_EQ(next_band_capacity(16, 16, 2), 16u);
+  EXPECT_EQ(next_band_capacity(64, 16, 8), 64u);
+  EXPECT_EQ(next_band_capacity(64, 7, 8), 128u);
+
+  // And on a run: without the flexibility bound every possible allocation
+  // is attempted (so the per-band yield does not depend on the schedule),
+  // and the settop stream is dense enough in them that grown bands
+  // overshoot and shrink, still without touching the front.
   const SpecificationGraph& spec = settop();
   ExploreOptions options;
   options.stop_at_max_flexibility = false;
-  options.use_flexibility_bound = false;  // maximize surviving candidates
+  options.use_flexibility_bound = false;
   options.num_threads = 2;
-  options.band_target = 1;
   const ExploreResult shrunk = parallel_explore(spec, options);
   ASSERT_TRUE(shrunk.status.ok());
   EXPECT_GT(shrunk.stats.bands_shrunk, 0u);
   EXPECT_GE(shrunk.stats.band_capacity_last,
             std::max<std::size_t>(options.num_threads, 4));
-
-  ExploreOptions seq_options = options;
-  seq_options.num_threads = 1;
-  expect_identical(explore(spec, seq_options), shrunk);
+  expect_identical(explore(spec, options), shrunk);
 }
 
 TEST(ParallelExplore, AblationsIdenticalToSequential) {
