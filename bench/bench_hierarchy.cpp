@@ -3,9 +3,9 @@
 // On specs whose clusters decompose at their interfaces (the
 // `preset_nested_*` family: repeated templates over disjoint unit pools),
 // the flat kernel re-searches the product of all tile choices once per ECA,
-// while the hierarchical path (HierCache) solves each decomposition group
-// once per (port signature, projected allocation) and reuses the verdict
-// across every ECA that shares the sub-tree.  This bench runs the same
+// while the hierarchical path (BindCache on a decomposing spec) solves each
+// decomposition group once per (port signature, projected allocation) and
+// reuses the verdict across every ECA that shares the sub-tree.  This bench runs the same
 // query stream through both paths and reports the search nodes avoided.
 // Correctness is asserted, not sampled: every verdict must match, every
 // hierarchical witness must pass the full feasibility check, and at the
@@ -66,7 +66,7 @@ void die(const std::string& workload, const char* what) {
   std::exit(1);
 }
 
-// ---- per-query kernel sweep: solve_binding vs HierCache::solve ------------
+// ---- per-query kernel sweep: solve_binding vs BindCache::solve ------------
 
 /// Runs every (full allocation, ECA) query through the flat kernel and the
 /// hierarchical path, asserts verdict identity and witness validity, and
@@ -105,7 +105,7 @@ void print_kernel_sweep(JsonObject& doc) {
         std::chrono::duration<double>(Clock::now() - t0).count();
 
     // Hierarchical side, same queries in the same order.
-    HierCache hier;
+    BindCache hier;
     SolverStats hier_stats;
     const auto t1 = Clock::now();
     for (std::size_t i = 0; i < ecas.size(); ++i) {

@@ -112,7 +112,7 @@ echo "======== hierarchical solve: front equivalence, hier vs --no-hier ========
 # the node counters, never a verdict.  Fronts with and without --no-hier
 # must be byte-identical on every example spec (settop/decoder exercise the
 # not-decomposable fallback, nested.json the real per-group path), both
-# at one thread and with the HierCache shared by four band workers.
+# at one thread and with the binding cache shared by four band workers.
 for spec in examples/specs/*.json; do
   for threads in 1 4; do
     echo "hier front diff (threads=$threads) $spec"

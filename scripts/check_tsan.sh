@@ -11,7 +11,7 @@ cd "$(dirname "$0")/.."
 SANITIZER="${SDF_SANITIZE:-thread}"
 BUILD="build-${SANITIZER}san"
 TESTS=(util_test dyn_bitset_test explore_test bind_test bind_cache_test
-       parallel_explore_test anytime_test fault_injection_test)
+       hier_test parallel_explore_test anytime_test fault_injection_test)
 
 cmake -B "$BUILD" -DSDF_SANITIZE="$SANITIZER"
 cmake --build "$BUILD" --target "${TESTS[@]}" -j "$(nproc)"

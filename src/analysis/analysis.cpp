@@ -341,21 +341,50 @@ bool SpecAnalysis::relaxation_infeasible(
 bool SpecAnalysis::eca_infeasible(const AllocSet& alloc, const Eca& eca) const {
   const std::shared_ptr<const CompiledFlat> flat = cs_.flat(eca.selection);
   if (flat == nullptr) return false;  // cannot reason: leave it to the solver
-  return eca_infeasible(alloc, *flat);
+  const CompiledFlat* const whole = flat.get();
+  return eca_infeasible(alloc, {&whole, 1});
 }
 
-bool SpecAnalysis::eca_infeasible(const AllocSet& alloc,
-                                  const CompiledFlat& flat) const {
+bool SpecAnalysis::eca_infeasible(
+    const AllocSet& alloc, std::span<const CompiledFlat* const> parts) const {
   std::vector<std::pair<std::size_t, std::size_t>> edges;
-  edges.reserve(flat.graph.edges.size());
-  for (const auto& [from, to] : flat.graph.edges) {
-    const std::size_t i = flat.index_of[from.index()];
-    const std::size_t j = flat.index_of[to.index()];
-    if (i == CompiledFlat::npos || j == CompiledFlat::npos) continue;
-    edges.emplace_back(i, j);
+  if (parts.size() == 1) {
+    const CompiledFlat& flat = *parts.front();
+    edges.reserve(flat.graph.edges.size());
+    for (const auto& [from, to] : flat.graph.edges) {
+      const std::size_t i = flat.index_of[from.index()];
+      const std::size_t j = flat.index_of[to.index()];
+      if (i == CompiledFlat::npos || j == CompiledFlat::npos) continue;
+      edges.emplace_back(i, j);
+    }
+    return relaxation_infeasible(alloc, flat.graph.vertices, flat.demand,
+                                 flat.footprint, edges);
   }
-  return relaxation_infeasible(alloc, flat.graph.vertices, flat.demand,
-                               flat.footprint, edges);
+  // Reassemble the whole flattening's inputs.  Its vertices are in
+  // ascending node order (`flatten` sorts them), so the relaxation's sums
+  // run in the same order and its verdict is the whole flattening's bit for
+  // bit.  The edge order differs, which no verdict depends on.
+  std::vector<NodeId> procs;
+  for (const CompiledFlat* part : parts)
+    procs.insert(procs.end(), part->graph.vertices.begin(),
+                 part->graph.vertices.end());
+  std::sort(procs.begin(), procs.end());
+  std::vector<double> demand;
+  std::vector<double> footprint;
+  demand.reserve(procs.size());
+  footprint.reserve(procs.size());
+  for (const NodeId v : procs) {
+    demand.push_back(cs_.demand(v));
+    footprint.push_back(cs_.footprint(v));
+  }
+  const auto position = [&](NodeId v) {
+    return static_cast<std::size_t>(
+        std::lower_bound(procs.begin(), procs.end(), v) - procs.begin());
+  };
+  for (const CompiledFlat* part : parts)
+    for (const auto& [from, to] : part->graph.edges)
+      edges.emplace_back(position(from), position(to));
+  return relaxation_infeasible(alloc, procs, demand, footprint, edges);
 }
 
 bool SpecAnalysis::allocation_infeasible(const AllocSet& alloc) const {

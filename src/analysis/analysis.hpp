@@ -42,6 +42,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -135,9 +136,12 @@ class SpecAnalysis {
   [[nodiscard]] bool eca_infeasible(const AllocSet& alloc,
                                     const Eca& eca) const;
   /// The same proof attempt on the ECA's flattening, for callers that
-  /// already hold it (the binding cache pins one per ECA).
-  [[nodiscard]] bool eca_infeasible(const AllocSet& alloc,
-                                    const CompiledFlat& flat) const;
+  /// already hold it: either whole (one part) or as the slices of its
+  /// terminal groups, which partition its vertices and edges (the binding
+  /// cache keeps one or the other per ECA).  Both give the same verdict.
+  [[nodiscard]] bool eca_infeasible(
+      const AllocSet& alloc,
+      std::span<const CompiledFlat* const> parts) const;
 
   /// ECA-independent form over the mandatory core (processes active in
   /// *every* elementary activation): true proves no activation of the

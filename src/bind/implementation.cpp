@@ -31,6 +31,23 @@ std::vector<Eca> Implementation::minimal_cover(
   return cover_ecas(problem, feasible);
 }
 
+namespace {
+
+/// Whether queries split ECAs into their terminal groups — the one place
+/// that decides it.  The hierarchical path engages only when the spec
+/// actually decomposes; otherwise the flat path runs unchanged
+/// (bit-identical stats).
+bool splits(const ImplementationOptions& options, const CompiledSpec& cs) {
+  return options.use_hier && options.hier_cache != nullptr &&
+         cs.hier_useful();
+}
+
+}  // namespace
+
+BindCache* ImplementationOptions::cache_for(const CompiledSpec& cs) const {
+  return splits(*this, cs) ? hier_cache : bind_cache;
+}
+
 std::optional<Implementation> build_implementation(
     const CompiledSpec& cs, const AllocSet& alloc,
     const ImplementationOptions& options, ImplementationStats* stats) {
@@ -52,13 +69,8 @@ std::optional<Implementation> build_implementation(
 
   const SpecAnalysis* analysis =
       options.use_analysis ? options.analysis : nullptr;
-  // The hierarchical path engages only when the spec actually decomposes;
-  // otherwise the flat path runs unchanged (bit-identical stats).
-  HierCache* hier = options.use_hier && cs.hier_useful()
-                        ? options.hier_cache
-                        : nullptr;
-
-  BindCache* const cache = hier == nullptr ? options.bind_cache : nullptr;
+  const bool split = splits(options, cs);
+  BindCache* const cache = options.cache_for(cs);
 
   for (const Eca& eca : ecas) {
     SolverStats ss;
@@ -67,29 +79,29 @@ std::optional<Implementation> build_implementation(
     // and pinned test expectations are unaffected.
     ++st.solver_calls;
     // One flattening per query, shared by the prefilter and the solve.  The
-    // bind cache pins it in the ECA's entry, so each distinct ECA is
+    // cache keeps its parts in the ECA's entry, so each distinct ECA is
     // flattened once per run whatever the flatten cache's LRU budget.
     BindCache::Slot slot;
     std::shared_ptr<const CompiledFlat> fetched;
     const CompiledFlat* flat = nullptr;
+    std::span<const CompiledFlat* const> parts;
     if (cache != nullptr) {
-      slot = cache->pin(cs, eca);
-      flat = slot.flat();
+      slot = cache->pin(cs, eca, split);
+      parts = slot.parts();
     } else {
       fetched = cs.flat(eca.selection);
       flat = fetched.get();
+      if (flat != nullptr) parts = {&flat, 1};
     }
-    if (analysis != nullptr && flat != nullptr &&
-        analysis->eca_infeasible(alloc, *flat)) {
+    if (analysis != nullptr && !parts.empty() &&
+        analysis->eca_infeasible(alloc, parts)) {
       // Sound proof: the solver would return kInfeasible.  Same verdict,
       // zero nodes searched.
       ++st.analysis_pruned;
       continue;
     }
     std::optional<Binding> binding;
-    if (hier != nullptr) {
-      binding = hier->solve(cs, alloc, eca, options.solver, &ss);
-    } else if (cache != nullptr) {
+    if (cache != nullptr) {
       binding = cache->solve(cs, alloc, slot, options.solver, &ss);
     } else if (flat != nullptr) {
       // A selection that does not flatten has no binding; `ss` already

@@ -52,15 +52,15 @@ struct Implementation {
 };
 
 class BindCache;
-class HierCache;
+class CompiledSpec;
 class SpecAnalysis;
 
 struct ImplementationOptions {
   SolverOptions solver;
   /// Cap on enumerated elementary activations (0 = unlimited).
   std::size_t eca_limit = 4096;
-  /// Cross-allocation binding cache (not owned; may be null).  When set,
-  /// every ECA feasibility query routes through it; verdicts — and thus the
+  /// Cross-allocation binding cache (not owned; may be null) for the flat
+  /// path: each ECA is one cached sub-problem.  Verdicts — and thus the
   /// resulting implementation, flexibility and cost — are identical to the
   /// raw solver's.
   BindCache* bind_cache = nullptr;
@@ -80,18 +80,22 @@ struct ImplementationOptions {
   /// attach a run-local analyzer when this is true and `analysis` is null.
   /// `--no-analysis` clears it.
   bool use_analysis = true;
-  /// Hierarchical sub-solve cache (not owned; may be null).  When set, and
-  /// `use_hier` holds, and the spec decomposes (`cs.hier_useful()`), every
-  /// ECA query routes through the per-cluster-group path instead of the
-  /// flat kernel / per-ECA cache.  Verdicts, fronts and `solver_calls` are
-  /// identical; `solver_nodes` shrinks.  On specs that do not decompose the
-  /// flat path runs unchanged — bit-identical stats, not merely identical
-  /// verdicts.
-  HierCache* hier_cache = nullptr;
+  /// Binding cache (not owned; may be null; may equal `bind_cache`) for the
+  /// hierarchical path.  When set, and `use_hier` holds, and the spec
+  /// decomposes (`cs.hier_useful()`), every ECA query routes through it
+  /// split into its terminal cluster groups instead of as one flat
+  /// sub-problem.  Verdicts, fronts and `solver_calls` are identical;
+  /// `solver_nodes` shrinks.  On specs that do not decompose the flat path
+  /// runs unchanged — bit-identical stats, not merely identical verdicts.
+  BindCache* hier_cache = nullptr;
   /// Engine-level default, mirroring `use_bind_cache`: the explore engines
-  /// attach a run-local `HierCache` when this is true and `hier_cache` is
-  /// null.  `--no-hier` clears it.
+  /// attach their run-local cache here too when this is true and
+  /// `hier_cache` is null.  `--no-hier` clears it.
   bool use_hier = true;
+
+  /// The cache queries on `cs` route through: `hier_cache` on the
+  /// hierarchical path, `bind_cache` otherwise (null = the raw solver).
+  [[nodiscard]] BindCache* cache_for(const CompiledSpec& cs) const;
 };
 
 struct ImplementationStats {
@@ -110,7 +114,7 @@ struct ImplementationStats {
   /// searching.  Informational (like the cache counters): not checkpointed.
   std::uint64_t analysis_pruned = 0;
   /// Hierarchical path: per-cluster-group sub-solves run / group verdicts
-  /// answered from the `HierCache` frontier.  Informational, not
+  /// answered from the group frontiers.  Informational, not
   /// checkpointed; zero when the spec does not decompose or `--no-hier`.
   std::uint64_t hier_subsolves = 0;
   std::uint64_t hier_hits = 0;

@@ -65,11 +65,11 @@ struct SolverStats {
   // diff snapshots).
   std::uint64_t nodes = 0;       ///< decision nodes visited
   std::uint64_t backtracks = 0;  ///< failed branches undone
-  std::uint64_t cache_hits_feasible = 0;    ///< BindCache witness hits
-  std::uint64_t cache_hits_infeasible = 0;  ///< BindCache proof hits
+  std::uint64_t cache_hits_feasible = 0;    ///< one-group witness hits
+  std::uint64_t cache_hits_infeasible = 0;  ///< one-group proof hits
   std::uint64_t cache_revalidations = 0;    ///< cached-witness rechecks
   std::uint64_t hier_subsolves = 0;  ///< per-cluster group sub-solves run
-  std::uint64_t hier_hits = 0;       ///< group verdicts answered by HierCache
+  std::uint64_t hier_hits = 0;       ///< cached per-cluster group verdicts
   // Per-call fields: reset at the entry of every solve (`solve_binding` and
   // `BindCache::solve`), so a reused stats object cannot leak a previous
   // call's verdict.
@@ -97,9 +97,9 @@ struct SolverStats {
 
 /// Kernel entry on an explicit flat (sub-)problem: identical search to
 /// `solve_binding`, but over `flat` instead of the memoized flattening of an
-/// ECA's selection.  The hierarchical solve path (bind/bind_cache.hpp,
-/// `HierCache`) uses this to solve one decomposition group at a time; the
-/// group's slice of a flattening is itself a well-formed `CompiledFlat`.
+/// ECA's selection.  The binding cache (bind/bind_cache.hpp) uses this to
+/// solve an ECA's pinned flattening, or one decomposition group at a time;
+/// a group's slice of a flattening is itself a well-formed `CompiledFlat`.
 /// Per-call stats fields are reset exactly like `solve_binding`.
 [[nodiscard]] std::optional<Binding> solve_binding_flat(
     const CompiledSpec& cs, const AllocSet& alloc, const CompiledFlat& flat,

@@ -301,11 +301,6 @@ int cmd_explore(const std::vector<std::string>& raw, std::ostream& out,
                     "memoization on specs that decompose (--no-hier always "
                     "uses the flat kernel; the front is identical either "
                     "way, only solver_nodes differs)");
-  flags.define("flat-cache-entries", "1024",
-               "flatten-cache LRU budget: live entries (0 = unlimited)");
-  flags.define("flat-cache-mb", "64",
-               "flatten-cache LRU budget: approximate payload megabytes "
-               "(0 = unlimited)");
   flags.define_bool("analysis-bound", false,
                     "also prune candidate allocations and stream subtrees "
                     "via the analyzer's relaxation (sound — same front — "
@@ -354,10 +349,6 @@ int cmd_explore(const std::vector<std::string>& raw, std::ostream& out,
   options.implementation.use_analysis = flags.get_bool("analysis");
   options.implementation.use_hier = flags.get_bool("hier");
   options.use_analysis_bound = flags.get_bool("analysis-bound");
-  spec.value().compiled().set_flat_cache_budget(
-      static_cast<std::size_t>(std::max<long>(0, flags.get_int("flat-cache-entries"))),
-      static_cast<std::size_t>(std::max<long>(0, flags.get_int("flat-cache-mb")))
-          << 20);
 
   // Second preflight stage, now that the solver options are known: the
   // analyzer's relaxation can prove the whole front empty in milliseconds,

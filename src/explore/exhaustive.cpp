@@ -23,12 +23,11 @@ ExhaustiveResult explore_exhaustive(const SpecificationGraph& spec,
   BudgetTracker tracker(budget);
   ImplementationOptions eval = options;
   eval.solver.budget = &tracker;
-  BindCache bind_cache;
+  BindCache cache;
   if (eval.use_bind_cache && eval.bind_cache == nullptr)
-    eval.bind_cache = &bind_cache;
-  HierCache hier_cache;
+    eval.bind_cache = &cache;
   if (eval.use_hier && eval.hier_cache == nullptr)
-    eval.hier_cache = &hier_cache;
+    eval.hier_cache = &cache;
 
   std::vector<Implementation> feasible;
   for (std::uint64_t mask = 1; mask < (std::uint64_t{1} << n); ++mask) {

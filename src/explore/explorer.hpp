@@ -117,7 +117,7 @@ struct ExploreStats {
   std::uint64_t analysis_pruned = 0;
   // Hierarchical-path counters (informational, like the cache counters):
   // per-cluster-group sub-solves run, group verdicts answered from the
-  // HierCache frontier.  Zero when the spec does not decompose or under
+  // group frontiers.  Zero when the spec does not decompose or under
   // `--no-hier`.
   std::uint64_t hier_subsolves = 0;
   std::uint64_t hier_hits = 0;

@@ -223,17 +223,16 @@ ExploreResult run_engine(const SpecificationGraph& spec,
   // thread charges allocations during band assembly.
   ImplementationOptions eval_impl = options.implementation;
   eval_impl.solver.budget = &tracker;
-  // Run-local caches and analyzer, shared by all band workers and rebuilt
+  // Run-local cache and analyzer, shared by all band workers and rebuilt
   // from scratch on resume (derived data, deliberately not checkpointed —
-  // see docs/ROBUSTNESS.md).  The caches are sharded mutexes and only skip
+  // see docs/ROBUSTNESS.md).  The cache locks per shard and only skips
   // work whose outcome is already proven, and every analyzer query is
   // const, so the merged front is the same whatever the thread schedule.
-  BindCache bind_cache;
+  BindCache cache;
   if (eval_impl.use_bind_cache && eval_impl.bind_cache == nullptr)
-    eval_impl.bind_cache = &bind_cache;
-  HierCache hier_cache;
+    eval_impl.bind_cache = &cache;
   if (eval_impl.use_hier && eval_impl.hier_cache == nullptr)
-    eval_impl.hier_cache = &hier_cache;
+    eval_impl.hier_cache = &cache;
   std::optional<SpecAnalysis> analysis_store;
   if (eval_impl.use_analysis && eval_impl.analysis == nullptr) {
     analysis_store.emplace(cs, AnalysisOptions{eval_impl.solver});
@@ -571,10 +570,8 @@ ExploreResult run_engine(const SpecificationGraph& spec,
         format_double(result.stats.exact_up_to_cost).c_str()));
   }
 
-  if (eval_impl.bind_cache != nullptr)
-    result.stats.cache_entries = eval_impl.bind_cache->entries();
-  if (eval_impl.hier_cache != nullptr)
-    result.stats.cache_entries += eval_impl.hier_cache->entries();
+  if (const BindCache* used = eval_impl.cache_for(cs); used != nullptr)
+    result.stats.cache_entries = used->entries();
   result.stats.flat_cache_entries = cs.flat_cache_entries();
   result.stats.flat_cache_evictions = cs.flat_cache_evictions();
 

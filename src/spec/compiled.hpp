@@ -21,13 +21,14 @@
 //     three-way word-wise intersection with no allocation,
 //   * a memoized flatten cache keyed by cluster selection, each entry
 //     carrying the solver-ready dense index/adjacency/attribute arrays,
-//     bounded by an LRU entry/byte budget.  A `BindCache` entry pins its
-//     ECA's flattening for the run (bind/bind_cache.hpp) and never asks
-//     again, so the budget in effect bounds only unpinned flattenings, and
+//     bounded by an LRU entry/byte budget.  A `BindCache` entry asks once
+//     per ECA and keeps the flattening (or its group slices) for the run
+//     (bind/bind_cache.hpp), so with the cache on the budget bounds only
+//     what no entry keeps (in effect, `--no-bind-cache` runs), and
 //   * a per-cluster decomposition sub-index (`decomposition()`): the static
 //     partition of each cluster's interior into independently bindable
-//     groups, which the hierarchical solve path combines at interfaces
-//     instead of flattening (see bind/bind_cache.hpp, `HierCache`).
+//     groups, which the binding cache solves and memoizes one group at a
+//     time instead of as one flat problem (see bind/bind_cache.hpp).
 //
 // All queries except `flat()` touch only immutable state and are safe to
 // call concurrently; `flat()` is internally synchronized.  Obtain an

@@ -40,6 +40,25 @@ const SpecificationGraph& decoder() {
   return spec;
 }
 
+/// A nested-tile spec: two independent tiles of a three-level hierarchy, so
+/// the cache splits every ECA into per-tile terminal groups.
+SpecificationGraph make_nested_tiles_spec() {
+  GeneratorParams p;
+  p.seed = 7;
+  p.tiles = 2;
+  p.max_depth = 3;
+  p.tile_processors = 2;
+  p.tile_alternatives = 2;
+  p.tile_processes = 2;
+  p.tile_bus = true;
+  return generate_spec(p);
+}
+
+const SpecificationGraph& nested_tiles() {
+  static const SpecificationGraph spec = make_nested_tiles_spec();
+  return spec;
+}
+
 AllocSet full_alloc(const CompiledSpec& cs) {
   AllocSet a = cs.make_alloc_set();
   for (std::size_t i = 0; i < a.size(); ++i) a.set(i);
@@ -227,12 +246,13 @@ TEST(BindCacheTest, PinHandsOutOneFlatteningPerEca) {
   ASSERT_GE(ecas.size(), 2u);
 
   BindCache cache;
-  const BindCache::Slot first = cache.pin(cs, ecas[0]);
-  ASSERT_NE(first.flat(), nullptr);
-  for (const Eca& eca : ecas) (void)cache.pin(cs, eca);  // evicts ecas[0]
+  const BindCache::Slot first = cache.pin(cs, ecas[0], false);
+  ASSERT_EQ(first.parts().size(), 1u);
+  for (const Eca& eca : ecas) (void)cache.pin(cs, eca, false);  // evicts ecas[0]
   const std::uint64_t evictions = cs.flat_cache_evictions();
   // Re-pinning returns the pinned flattening without touching the LRU.
-  EXPECT_EQ(cache.pin(cs, ecas[0]).flat(), first.flat());
+  EXPECT_EQ(cache.pin(cs, ecas[0], false).parts().front(),
+            first.parts().front());
   EXPECT_EQ(cs.flat_cache_evictions(), evictions);
   cache.clear();
   EXPECT_EQ(cache.entries(), 0u);
@@ -706,6 +726,13 @@ TEST(BindCacheExplore, DecoderOneEntryFlattenBudgetDoesNotThrash) {
   expect_no_flatten_thrash(&models::make_tv_decoder_spec, options);
 }
 
+TEST(BindCacheExplore, NestedTilesOneEntryFlattenBudgetDoesNotThrash) {
+  // The split path pins the ECA's flattening too: its prefilter and group
+  // slices never go back to the flatten cache.
+  ASSERT_TRUE(nested_tiles().compiled().hier_useful());
+  expect_no_flatten_thrash(&make_nested_tiles_spec, ExploreOptions{});
+}
+
 // ---------------------------------------------------------------------------
 // Fault injection: a throw mid-insert must leave the cache sound (at worst
 // with a redundant frontier entry) and a parallel run resumable.
@@ -718,58 +745,95 @@ struct DisarmGuard {
   ~DisarmGuard() { FaultInjector::disarm_all(); }
 };
 
+/// The first ECA that is feasible under the full allocation.
+const Eca* find_feasible_eca(const CompiledSpec& cs,
+                             const std::vector<Eca>& ecas,
+                             const AllocSet& alloc) {
+  for (const Eca& eca : ecas)
+    if (solve_binding(cs, alloc, eca).has_value()) return &eca;
+  return nullptr;
+}
+
+/// Both inputs of the fault tests: settop solves each ECA as one group,
+/// the nested-tile spec splits each ECA into several terminal groups whose
+/// inserts carry the same fault sites.
+std::vector<const SpecificationGraph*> fault_specs() {
+  return {&settop(), &nested_tiles()};
+}
+
 TEST(BindCacheFaults, InsertFaultPropagatesAndLeavesTheCacheUsable) {
   DisarmGuard guard;
-  const CompiledSpec& cs = settop().compiled();
-  const std::vector<Eca> ecas = full_ecas(cs);
-  ASSERT_FALSE(ecas.empty());
-  const AllocSet full = full_alloc(cs);
+  for (const SpecificationGraph* spec : fault_specs()) {
+    const CompiledSpec& cs = spec->compiled();
+    SCOPED_TRACE(cs.hier_useful() ? "split ECA" : "one-group ECA");
+    const std::vector<Eca> ecas = full_ecas(cs, /*limit=*/64);
+    const AllocSet full = full_alloc(cs);
+    const Eca* eca = find_feasible_eca(cs, ecas, full);
+    ASSERT_NE(eca, nullptr);
 
-  BindCache cache;
-  SolverStats st;
-  FaultInjector::arm("bind_cache.insert", FaultKind::kThrow, 1);
-  EXPECT_THROW((void)cache.solve(cs, full, ecas[0], {}, &st),
-               FaultInjectedError);
-  FaultInjector::disarm_all();
+    BindCache cache;
+    SolverStats st;
+    FaultInjector::arm("bind_cache.insert", FaultKind::kThrow, 1);
+    EXPECT_THROW((void)cache.solve(cs, full, *eca, {}, &st),
+                 FaultInjectedError);
+    FaultInjector::disarm_all();
 
-  // The fault fired before any mutation: nothing was stored.
-  EXPECT_EQ(cache.entries(), 0u);
-  // The cache is still fully usable and agrees with the raw solver.
-  const std::optional<Binding> got = cache.solve(cs, full, ecas[0], {}, &st);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_TRUE(binding_feasible(cs, full, ecas[0], *got));
-  EXPECT_EQ(cache.entries(), 1u);
+    // The fault fired before any mutation: nothing was stored.
+    EXPECT_EQ(cache.entries(), 0u);
+    // The cache is still fully usable and agrees with the raw solver.
+    const std::optional<Binding> got = cache.solve(cs, full, *eca, {}, &st);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_TRUE(binding_feasible(cs, full, *eca, *got));
+    // One stored fact per group: the ECA itself, or each terminal group.
+    if (cs.hier_useful()) {
+      EXPECT_GT(cache.entries(), 1u);
+    } else {
+      EXPECT_EQ(cache.entries(), 1u);
+    }
+    EXPECT_EQ(cache.stats().misses, 1 + cache.entries());
+  }
 }
 
 TEST(BindCacheFaults, MergeFaultIsBuildAsideOrNothing) {
   DisarmGuard guard;
-  const CompiledSpec& cs = settop().compiled();
-  const std::vector<Eca> ecas = full_ecas(cs);
-  ASSERT_FALSE(ecas.empty());
-  const AllocSet full = full_alloc(cs);
+  for (const SpecificationGraph* spec : fault_specs()) {
+    const CompiledSpec& cs = spec->compiled();
+    SCOPED_TRACE(cs.hier_useful() ? "split ECA" : "one-group ECA");
+    const std::vector<Eca> ecas = full_ecas(cs, /*limit=*/64);
+    const AllocSet full = full_alloc(cs);
+    const Eca* eca = find_feasible_eca(cs, ecas, full);
+    ASSERT_NE(eca, nullptr);
 
-  BindCache cache;
-  SolverStats st;
-  // The merge fault fires after the extended frontier is built aside but
-  // before the swap: the exception escapes and the stored frontier is
-  // untouched — no fact stored, no torn frontier.
-  FaultInjector::arm("bind_cache.merge", FaultKind::kThrow, 1);
-  EXPECT_THROW((void)cache.solve(cs, full, ecas[0], {}, &st),
-               FaultInjectedError);
-  FaultInjector::disarm_all();
-  EXPECT_EQ(cache.entries(), 0u);  // build-aside discarded with the throw
+    BindCache cache;
+    SolverStats st;
+    // The merge fault fires after the extended frontier is built aside but
+    // before the swap: the exception escapes and the stored frontier is
+    // untouched — no fact stored, no torn frontier.
+    FaultInjector::arm("bind_cache.merge", FaultKind::kThrow, 1);
+    EXPECT_THROW((void)cache.solve(cs, full, *eca, {}, &st),
+                 FaultInjectedError);
+    FaultInjector::disarm_all();
+    EXPECT_EQ(cache.entries(), 0u);  // build-aside discarded with the throw
 
-  // The next query re-solves (miss, not a fabricated hit) and stores it.
-  const std::optional<Binding> got = cache.solve(cs, full, ecas[0], {}, &st);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_TRUE(binding_feasible(cs, full, ecas[0], *got));
-  EXPECT_EQ(cache.stats().misses, 2u);
-  EXPECT_EQ(cache.entries(), 1u);
+    // The next query re-solves every group (misses, not a fabricated hit)
+    // and stores one fact per group.
+    const std::optional<Binding> got = cache.solve(cs, full, *eca, {}, &st);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_TRUE(binding_feasible(cs, full, *eca, *got));
+    const std::uint64_t groups = cache.entries();
+    if (cs.hier_useful()) {
+      EXPECT_GT(groups, 1u);
+    } else {
+      EXPECT_EQ(groups, 1u);
+    }
+    EXPECT_EQ(cache.stats().misses, 1 + groups);
 
-  // ...and the published fact serves hits again.
-  const std::optional<Binding> hit = cache.solve(cs, full, ecas[0], {}, &st);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(cache.stats().hits_feasible, 1u);
+    // ...and the published facts serve hits again.
+    const std::optional<Binding> hit = cache.solve(cs, full, *eca, {}, &st);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_TRUE(binding_feasible(cs, full, *eca, *hit));
+    EXPECT_EQ(cache.stats().hits_feasible, groups);
+  }
 }
 
 TEST(BindCacheFaults, CacheFaultInAParallelRunIsResumable) {

@@ -1,4 +1,5 @@
-// Tests for the hierarchy-native solve path (HierCache) and the static
+// Tests for the hierarchy-native solve path (BindCache on a spec that
+// decomposes: one frontier per terminal cluster group) and the static
 // cluster decomposition it rests on.
 //
 // The load-bearing property is verdict identity: for every (allocation,
@@ -10,17 +11,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "bind/bind_cache.hpp"
 #include "bind/eca.hpp"
 #include "bind/solver.hpp"
 #include "explore/explorer.hpp"
+#include "explore/parallel_explorer.hpp"
 #include "flex/activatability.hpp"
 #include "gen/presets.hpp"
 #include "gen/spec_generator.hpp"
 #include "spec/compiled.hpp"
 #include "spec/paper_models.hpp"
+#include "spec/spec_io.hpp"
 #include "util/rng.hpp"
 
 namespace sdf {
@@ -122,7 +128,7 @@ TEST(Decomposition, GroupsAreDisjointAndCoverEveryCluster) {
 }
 
 // ---------------------------------------------------------------------------
-// Verdict identity: HierCache vs the raw flat kernel.
+// Verdict identity: the split BindCache vs the raw flat kernel.
 // ---------------------------------------------------------------------------
 
 void check_hier_matches_flat(const SpecificationGraph& spec,
@@ -131,7 +137,7 @@ void check_hier_matches_flat(const SpecificationGraph& spec,
   const std::vector<Eca> ecas = full_ecas(cs, /*limit=*/64);
   ASSERT_FALSE(ecas.empty());
   Rng rng(seed);
-  HierCache hier;
+  BindCache hier;
 
   std::vector<AllocSet> allocs;
   allocs.push_back(full_alloc(cs));
@@ -156,9 +162,9 @@ void check_hier_matches_flat(const SpecificationGraph& spec,
       }
     }
   }
-  const HierCacheStats st = hier.stats();
+  const BindCacheStats st = hier.stats();
   if (cs.hier_useful()) {
-    EXPECT_GT(st.subsolves, 0u);
+    EXPECT_GT(st.misses, 0u);
     // The second pass re-asks every query: the frontier must convert some
     // of those into hits instead of fresh sub-solves.
     EXPECT_GT(st.hits_feasible + st.hits_infeasible, 0u);
@@ -173,8 +179,8 @@ TEST(HierVsFlat, NestedTileSpecsAgreeAcrossSeeds) {
 }
 
 TEST(HierVsFlat, DefaultGeneratorSpecsAgree) {
-  // Mostly non-decomposing specs: HierCache must still answer correctly
-  // (typically by flat fallback inside solve()).
+  // Mostly non-decomposing specs: the cache must still answer correctly
+  // (as one group per ECA when the spec does not decompose).
   for (std::uint64_t seed : {2u, 11u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     GeneratorParams p;
@@ -235,6 +241,36 @@ TEST(HierExplore, DecoderPinnedFrontAndStats) {
   EXPECT_EQ(a.stats.solver_calls, b.stats.solver_calls);
   EXPECT_EQ(a.stats.solver_nodes, b.stats.solver_nodes);
   EXPECT_EQ(a.stats.hier_subsolves, 0u);
+}
+
+TEST(HierExplore, NestedJsonFrontIsTheSameAtEveryThreadCount) {
+  // Band workers share the cache's group frontiers: concurrent probes,
+  // revalidations and inserts on one group must leave the front exactly
+  // the one-thread front, on the split path and on the flat path alike.
+  std::ifstream in(std::string(SDF_EXAMPLES_DIR) + "/nested.json");
+  ASSERT_TRUE(in.is_open());
+  std::ostringstream text;
+  text << in.rdbuf();
+  Result<SpecificationGraph> loaded = spec_from_string(text.str());
+  ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+  const SpecificationGraph& spec = loaded.value();
+  ASSERT_TRUE(spec.compiled().hier_useful());
+  for (const bool hier : {true, false}) {
+    SCOPED_TRACE(hier ? "hier" : "no-hier");
+    ExploreOptions options;
+    options.implementation.use_hier = hier;
+    const ExploreResult one = parallel_explore(spec, options);
+    ASSERT_TRUE(one.status.ok());
+    ASSERT_FALSE(one.front.empty());
+    EXPECT_EQ(one.stats.hier_subsolves > 0, hier);
+    for (const std::size_t threads : {2u, 4u}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      options.num_threads = threads;
+      const ExploreResult many = parallel_explore(spec, options);
+      ASSERT_TRUE(many.status.ok());
+      expect_fronts_equal(one, many);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
