@@ -37,7 +37,15 @@ class BindingSearch {
   BindingSearch(const CompiledSpec& cs, const AllocSet& alloc,
                 const CompiledFlat& flat, const SolverOptions& options,
                 SolverStats& stats)
-      : cs_(cs), alloc_(alloc), flat_(flat), options_(options), stats_(stats) {}
+      : cs_(cs),
+        alloc_(alloc),
+        flat_(flat),
+        options_(options),
+        stats_(stats),
+        node_cap_(options.node_limit == 0 ||
+                          options.node_limit > kNoCap - stats.nodes
+                      ? kNoCap
+                      : stats.nodes + options.node_limit) {}
 
   std::optional<Binding> run() {
     if (!build_domains()) return std::nullopt;  // rule 2 unsatisfiable
@@ -71,6 +79,7 @@ class BindingSearch {
 
  private:
   static constexpr std::size_t kUnassigned = static_cast<std::size_t>(-1);
+  static constexpr std::uint64_t kNoCap = static_cast<std::uint64_t>(-1);
   static constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
 
   /// Candidate domains (allocated targets only) as one CSR array, plus the
@@ -302,10 +311,6 @@ class BindingSearch {
 
   bool search(std::size_t depth) {
     if (interrupted_) return false;
-    if (options_.node_limit != 0 && stats_.nodes >= options_.node_limit) {
-      stats_.aborted = true;
-      return false;
-    }
     if (depth == n_) return true;
 
     // MRV over the maintained counts: first unassigned process with the
@@ -326,6 +331,11 @@ class BindingSearch {
     for (std::size_t g = dom_offsets_[best]; g < dom_offsets_[best + 1];
          ++g) {
       if (bad_[g] != 0) continue;
+      // The node limit is per call: `stats_` may carry earlier calls' nodes.
+      if (stats_.nodes >= node_cap_) {
+        stats_.aborted = true;
+        return false;
+      }
       ++stats_.nodes;
       // Solver-node granularity budget check: a tripped budget unwinds the
       // whole search immediately (every recursion level re-tests
@@ -338,7 +348,8 @@ class BindingSearch {
       assign(best, g);
       if (search(depth + 1)) return true;
       unassign(best, g);
-      if (interrupted_) return false;  // unwind without trying siblings
+      // Unwind without trying siblings.
+      if (interrupted_ || stats_.aborted) return false;
       ++stats_.backtracks;
     }
     return false;
@@ -349,6 +360,8 @@ class BindingSearch {
   const CompiledFlat& flat_;
   const SolverOptions& options_;
   SolverStats& stats_;
+  /// `stats_.nodes` value at which the node limit stops the search.
+  std::uint64_t node_cap_;
 
   std::size_t n_ = 0;
 

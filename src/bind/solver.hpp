@@ -39,7 +39,9 @@ struct SolverOptions {
   bool exclusive_configurations = true;
   /// Enforce kCapacity/kFootprint annotations.
   bool enforce_capacities = true;
-  /// Abort after this many search nodes (0 = unlimited).
+  /// Search nodes one call may visit (0 = unlimited): a search that needs
+  /// exactly this many succeeds.  Counted per call, also when the caller
+  /// reuses a `SolverStats` whose `nodes` carries earlier calls.
   std::uint64_t node_limit = 0;
   /// Optional shared run budget: every decision node is charged to it and
   /// the search aborts cooperatively once it is exhausted (outcome

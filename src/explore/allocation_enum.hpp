@@ -73,31 +73,46 @@ class CostOrderedAllocations {
   /// Frontier states awaiting expansion.  Every not-yet-emitted subset is a
   /// descendant of exactly one frontier state, so `frontier_size() == 0`
   /// means the stream is exhausted.
-  [[nodiscard]] std::size_t frontier_size() const { return heap_.size(); }
+  [[nodiscard]] std::size_t frontier_size() const { return size_; }
   /// Cost of the next subset `next()` would emit; nullopt when exhausted.
   [[nodiscard]] std::optional<double> peek_cost() const;
 
   /// Checkpoint support: snapshots / restores the enumeration state.  A
   /// stream restored from `cursor()` continues exactly where the source
   /// stream stood (same emit order, same counters).  The branch bound is
-  /// NOT part of the cursor; re-set it after restoring.
+  /// NOT part of the cursor; re-set it after restoring.  `restore` reads
+  /// each state's `cost` and `members`; `max_index` is implied by them.
   [[nodiscard]] EnumCursor cursor() const;
   void restore(const EnumCursor& cursor);
 
  private:
-  using State = EnumCursor::State;
-  struct StateGreater {
-    bool operator()(const State& a, const State& b) const {
-      if (a.cost != b.cost) return a.cost > b.cost;
-      return a.members > b.members;  // lexicographically larger = later
-    }
-  };
+  // The frontier is one flat buffer of fixed-stride entries
+  // `[cost][W member words]` with W = max(1, ceil(units / 64)), kept as a
+  // kArity-ary min-heap under the (cost, lex) order of `less`.  An
+  // entry's last added unit is its highest member bit.
+  static constexpr std::size_t kArity = 4;
 
-  [[nodiscard]] AllocSet to_set(const std::vector<std::uint32_t>& members) const;
+  [[nodiscard]] std::uint64_t* entry(std::size_t i) {
+    return heap_.data() + i * stride_;
+  }
+  [[nodiscard]] const std::uint64_t* entry(std::size_t i) const {
+    return heap_.data() + i * stride_;
+  }
+  [[nodiscard]] bool less(const std::uint64_t* a, const std::uint64_t* b) const;
+  void push(const std::uint64_t* e);
+  /// Fills the hole at `i` with `e`, moving smaller children up.
+  void sift_down(std::size_t i, const std::uint64_t* e);
+  [[nodiscard]] AllocSet to_set(const std::uint64_t* e) const;
 
   AllocSet base_;
   std::vector<double> unit_cost_;
-  std::vector<State> heap_;  ///< min-heap via std::*_heap with StateGreater
+  std::size_t words_ = 1;   ///< W
+  std::size_t stride_ = 2;  ///< 1 + W
+  std::size_t size_ = 0;    ///< entries in heap_
+  std::vector<std::uint64_t> heap_;
+  std::vector<std::uint64_t> popped_;  ///< scratch: the entry being expanded
+  std::vector<std::uint64_t> child_;   ///< scratch: the entry being pushed
+  AllocSet potential_;                 ///< scratch: the branch bound's input
   BranchBound keep_;
   std::uint64_t emitted_ = 0;
   std::uint64_t pruned_ = 0;

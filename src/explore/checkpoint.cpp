@@ -290,9 +290,14 @@ Result<EnumCursor> checkpoint_cursor(const ExploreCheckpoint& ck,
     state.max_index =
         members.empty() ? static_cast<std::uint32_t>(-1) : members.back();
     double cost = 0.0;
-    for (std::uint32_t j : members) {
+    for (std::size_t k = 0; k < members.size(); ++k) {
+      const std::uint32_t j = members[k];
       if (j >= cs.unit_count())
         return Error{"checkpoint: frontier unit index outside the universe"};
+      // The stream stores a state as its member set; only an ascending
+      // list names the set's insertion order.
+      if (k > 0 && j <= members[k - 1])
+        return Error{"checkpoint: frontier members not strictly ascending"};
       cost += cs.units()[j].cost;
     }
     state.cost = cost;
@@ -392,12 +397,12 @@ Result<ExploreCheckpoint> build_explore_checkpoint(
   }
   for (const AllocSet& alloc : pending)
     ck.pending.push_back(checkpoint_units(alloc));
-  const EnumCursor cursor = stream.cursor();
+  EnumCursor cursor = stream.cursor();
   ck.emitted = cursor.emitted;
   ck.pruned = cursor.pruned;
   ck.frontier.reserve(cursor.frontier.size());
-  for (const EnumCursor::State& state : cursor.frontier)
-    ck.frontier.push_back(state.members);
+  for (EnumCursor::State& state : cursor.frontier)
+    ck.frontier.push_back(std::move(state.members));
   ck.counters = counters;
   return ck;
 }

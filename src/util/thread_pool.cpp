@@ -1,5 +1,7 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <utility>
 
 #include "util/fault_injection.hpp"
@@ -45,6 +47,13 @@ std::size_t ThreadPool::hardware_threads() {
 }
 
 void ThreadPool::submit(std::function<void()> task) {
+  enqueue([task = std::move(task)] {
+    SDF_FAULT_POINT("thread_pool.task");
+    task();
+  });
+}
+
+void ThreadPool::enqueue(std::function<void()> task) {
   std::size_t target;
   {
     std::lock_guard<std::mutex> lock(idle_mu_);
@@ -58,6 +67,11 @@ void ThreadPool::submit(std::function<void()> task) {
   }
   work_cv_.notify_one();
   idle_cv_.notify_all();  // a helping wait_idle() caller may want this task
+}
+
+void ThreadPool::record_error(std::exception_ptr error) {
+  std::lock_guard<std::mutex> lock(idle_mu_);
+  if (!first_error_) first_error_ = std::move(error);
 }
 
 std::function<void()> ThreadPool::take_task(std::size_t self) {
@@ -102,11 +116,9 @@ bool ThreadPool::run_one(std::size_t self) {
   // The in_flight_ decrement below runs on EVERY path out of the task —
   // a throwing task must never strand wait_idle() or deadlock the pool.
   try {
-    SDF_FAULT_POINT("thread_pool.task");
     task();
   } catch (...) {
-    std::lock_guard<std::mutex> lock(idle_mu_);
-    if (!first_error_) first_error_ = std::current_exception();
+    record_error(std::current_exception());
   }
   bool idle;
   {
@@ -167,22 +179,27 @@ Status ThreadPool::wait_idle() {
 Status ThreadPool::parallel_for(std::size_t n,
                                 const std::function<void(std::size_t)>& fn) {
   if (n == 0) return Status::Ok();
-  if (n == 1 || queues_.empty()) {
-    // Inline fast path: match the pooled path's exception contract.
-    try {
-      for (std::size_t i = 0; i < n; ++i) {
+  // Every participant claims the next index from one shared counter, one
+  // index at a time: a band mixes sub-microsecond filter rejections with
+  // millisecond solves, so any larger chunk could strand the slow ones
+  // behind one participant.  Each index catches its own error, so the
+  // others still run.
+  std::atomic<std::size_t> next{0};
+  auto drain = [this, n, &next, &fn] {
+    for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+      try {
         SDF_FAULT_POINT("thread_pool.task");
         fn(i);
+      } catch (...) {
+        record_error(std::current_exception());
       }
-    } catch (const std::exception& e) {
-      return Error{std::string("worker task failed: ") + e.what()};
-    } catch (...) {
-      return Error{"worker task failed with a non-standard exception"};
     }
-    return Status::Ok();
-  }
-  for (std::size_t i = 0; i < n; ++i)
-    submit([&fn, i] { fn(i); });
+  };
+  // The caller is one participant; wait_idle() keeps this frame (and so
+  // `next`) alive until every helper has returned.
+  const std::size_t helpers = std::min(n, workers_.size() + 1) - 1;
+  for (std::size_t k = 0; k < helpers; ++k) enqueue(drain);
+  drain();
   return wait_idle();
 }
 

@@ -3,10 +3,12 @@
 // Built for the parallel EXPLORE engine: a band of expensive, independent
 // candidate evaluations is fanned out with `parallel_for`, whose iterations
 // vary wildly in cost (a dominance-filtered candidate returns in
-// microseconds, a binding solve can take milliseconds).  Each worker owns a
-// deque; it pops its own work LIFO (cache-warm) and steals FIFO from the
-// busiest end of its siblings when it runs dry, so long-running iterations
-// do not strand queued work behind them.
+// microseconds, a binding solve can take milliseconds).  Its participants
+// — the caller plus one queued task per worker — each claim the next index
+// from a shared counter, so a slow iteration never strands the rest and a
+// fast one costs one atomic increment.  Tasks queued with `submit()` go to
+// per-worker deques; a worker pops its own work LIFO (cache-warm) and
+// steals FIFO from its siblings when it runs dry.
 //
 // Exception safety: a throwing task never deadlocks or leaks the pool.  The
 // worker catches the exception, keeps draining, and the first captured
@@ -57,8 +59,11 @@ class ThreadPool {
   [[nodiscard]] Status wait_idle();
 
   /// Runs `fn(0) .. fn(n-1)` across the pool and blocks until all complete.
-  /// Iterations are independent; no ordering is guaranteed.  A throwing
-  /// iteration does not stop the others; the first error is returned.
+  /// Up to `worker_count() + 1` participants (the caller included) claim
+  /// indices from a shared counter, so the cost per index is one atomic
+  /// increment, not one queued task.  Iterations are independent; no
+  /// ordering is guaranteed.  A throwing iteration does not stop the
+  /// others; the first error is returned.
   [[nodiscard]] Status parallel_for(std::size_t n,
                                     const std::function<void(std::size_t)>& fn);
 
@@ -74,6 +79,10 @@ class ThreadPool {
   /// Pops from `self`'s back (LIFO) or steals from another queue's front
   /// (FIFO).  Returns an empty function when no work is available.
   std::function<void()> take_task(std::size_t self);
+  /// Queues `task` without the per-task fault site `submit()` adds.
+  void enqueue(std::function<void()> task);
+  /// Keeps `error` unless an earlier task error is still uncollected.
+  void record_error(std::exception_ptr error);
   void worker_loop(std::size_t index);
   bool run_one(std::size_t self);  ///< executes one task if available
   /// Swaps out the first captured task error and renders it as a Status.

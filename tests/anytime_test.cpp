@@ -482,6 +482,18 @@ TEST(ExploreCheckpoint, RejectsCorruptInput) {
   EXPECT_FALSE(ExploreCheckpoint::from_string(wrong_format).ok());
 }
 
+TEST(ExploreCheckpoint, CursorRejectsUnsortedFrontierMembers) {
+  const CompiledSpec& cs = settop().compiled();
+  ExploreCheckpoint ck = interrupted_checkpoint();
+  ASSERT_TRUE(checkpoint_cursor(ck, cs).ok());
+  for (const std::vector<std::uint32_t>& members :
+       {std::vector<std::uint32_t>{2, 1}, std::vector<std::uint32_t>{3, 3}}) {
+    ExploreCheckpoint bad = ck;
+    bad.frontier.push_back(members);
+    EXPECT_FALSE(checkpoint_cursor(bad, cs).ok());
+  }
+}
+
 TEST(ExploreCheckpoint, ResumeValidatesSpecDigest) {
   const ExploreCheckpoint ck = interrupted_checkpoint();
   const SpecificationGraph other = models::make_tv_decoder_spec();

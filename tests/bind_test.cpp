@@ -377,6 +377,51 @@ TEST(Solver, NodeLimitAborts) {
   EXPECT_EQ(stats.outcome, SolveOutcome::kNodeLimit);
 }
 
+TEST(Solver, NodeLimitOfExactlyTheNodesNeededSucceeds) {
+  const SpecificationGraph& spec = settop();
+  const Eca eca = eca_of(spec.problem(), {"gD", "gD1", "gU1"});
+  const AllocSet alloc = alloc_of(spec, {"uP2"});
+  SolverStats free_run;
+  ASSERT_TRUE(solve_binding(spec, alloc, eca, {}, &free_run).has_value());
+  const std::uint64_t needed = free_run.nodes;
+  ASSERT_GE(needed, 2u);
+
+  SolverOptions options;
+  options.node_limit = needed;
+  SolverStats exact;
+  EXPECT_TRUE(solve_binding(spec, alloc, eca, options, &exact).has_value());
+  EXPECT_EQ(exact.outcome, SolveOutcome::kFeasible);
+  EXPECT_EQ(exact.nodes, needed);
+
+  options.node_limit = needed - 1;
+  SolverStats short_by_one;
+  EXPECT_FALSE(
+      solve_binding(spec, alloc, eca, options, &short_by_one).has_value());
+  EXPECT_EQ(short_by_one.outcome, SolveOutcome::kNodeLimit);
+  EXPECT_EQ(short_by_one.nodes, needed - 1);
+}
+
+TEST(Solver, NodeLimitIsPerCallOnAReusedStatsObject) {
+  const SpecificationGraph& spec = settop();
+  const Eca eca = eca_of(spec.problem(), {"gD", "gD1", "gU1"});
+  const AllocSet alloc = alloc_of(spec, {"uP2"});
+  SolverStats first;
+  ASSERT_TRUE(solve_binding(spec, alloc, eca, {}, &first).has_value());
+  const std::uint64_t needed = first.nodes;
+
+  // The same stats object already holds `needed` nodes; every further call
+  // still gets its own `needed`-node allowance.
+  SolverOptions options;
+  options.node_limit = needed;
+  SolverStats reused = first;
+  for (int call = 2; call <= 3; ++call) {
+    SCOPED_TRACE("call " + std::to_string(call));
+    EXPECT_TRUE(solve_binding(spec, alloc, eca, options, &reused).has_value());
+    EXPECT_EQ(reused.outcome, SolveOutcome::kFeasible);
+    EXPECT_EQ(reused.nodes, needed * static_cast<std::uint64_t>(call));
+  }
+}
+
 TEST(Solver, OutcomeSeparatesProofFromGivingUp) {
   // The three ways to return without a binding must stay distinguishable:
   // a *proof* of infeasibility, a node-limit abort, and a budget abort.

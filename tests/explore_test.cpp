@@ -7,7 +7,13 @@
 // that front, and the exhaustive baseline must agree.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <optional>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "explore/allocation_enum.hpp"
 #include "explore/evolutionary.hpp"
@@ -16,6 +22,8 @@
 #include "explore/uncertain.hpp"
 #include "gen/spec_generator.hpp"
 #include "moo/indicators.hpp"
+#include "spec/builder.hpp"
+#include "spec/compiled.hpp"
 #include "spec/paper_models.hpp"
 #include "util/strings.hpp"
 
@@ -66,6 +74,252 @@ TEST(CostOrderedAllocations, BranchBoundPrunesSubtrees) {
   while (stream.next()) ++emitted;
   EXPECT_EQ(emitted, 1u);  // only the empty set escapes
   EXPECT_GT(stream.pruned(), 0u);
+}
+
+// ---- golden stream order ----------------------------------------------------
+//
+// `ReferenceStream` is the eager vector-state stream that the flat one
+// replaced: one heap state per frontier entry holding its member list, in a
+// std::*_heap ordered by (cost, lexicographic member list).  The flat stream
+// must reproduce it step by step: the emitted subsets, the counters, the
+// frontier size and the canonical cursor.
+
+class ReferenceStream {
+ public:
+  ReferenceStream(const CompiledSpec& cs, AllocSet base)
+      : base_(std::move(base)) {
+    for (const AllocUnit& u : cs.units())
+      unit_cost_.push_back(base_.test(u.id.index()) ? -1.0 : u.cost);
+    heap_.push_back(State{0.0, {}, static_cast<std::uint32_t>(-1)});
+  }
+
+  void set_branch_bound(CostOrderedAllocations::BranchBound keep) {
+    keep_ = std::move(keep);
+  }
+
+  std::optional<AllocSet> next() {
+    if (heap_.empty()) return std::nullopt;
+    std::pop_heap(heap_.begin(), heap_.end(), Greater{});
+    State state = std::move(heap_.back());
+    heap_.pop_back();
+    const std::uint32_t begin =
+        state.max_index == static_cast<std::uint32_t>(-1) ? 0
+                                                          : state.max_index + 1;
+    bool expand = true;
+    if (keep_ && begin < unit_cost_.size()) {
+      AllocSet potential = to_set(state.members);
+      for (std::uint32_t j = begin; j < unit_cost_.size(); ++j)
+        potential.set(j);
+      if (!keep_(potential)) {
+        expand = false;
+        ++pruned_;
+      }
+    }
+    if (expand) {
+      for (std::uint32_t j = begin; j < unit_cost_.size(); ++j) {
+        if (unit_cost_[j] < 0.0) continue;
+        State child{state.cost + unit_cost_[j], state.members, j};
+        child.members.push_back(j);
+        heap_.push_back(std::move(child));
+        std::push_heap(heap_.begin(), heap_.end(), Greater{});
+      }
+    }
+    ++emitted_;
+    return to_set(state.members);
+  }
+
+  [[nodiscard]] std::uint64_t emitted() const { return emitted_; }
+  [[nodiscard]] std::uint64_t pruned() const { return pruned_; }
+  [[nodiscard]] std::size_t frontier_size() const { return heap_.size(); }
+
+  [[nodiscard]] EnumCursor cursor() const {
+    EnumCursor c;
+    c.frontier = heap_;
+    std::sort(c.frontier.begin(), c.frontier.end(),
+              [](const State& a, const State& b) { return Greater{}(b, a); });
+    c.emitted = emitted_;
+    c.pruned = pruned_;
+    return c;
+  }
+
+ private:
+  using State = EnumCursor::State;
+  struct Greater {
+    bool operator()(const State& a, const State& b) const {
+      if (a.cost != b.cost) return a.cost > b.cost;
+      return a.members > b.members;
+    }
+  };
+
+  [[nodiscard]] AllocSet to_set(
+      const std::vector<std::uint32_t>& members) const {
+    AllocSet s = base_;
+    for (std::uint32_t i : members) s.set(i);
+    return s;
+  }
+
+  AllocSet base_;
+  std::vector<double> unit_cost_;
+  std::vector<State> heap_;
+  CostOrderedAllocations::BranchBound keep_;
+  std::uint64_t emitted_ = 0;
+  std::uint64_t pruned_ = 0;
+};
+
+void expect_same_cursor(const EnumCursor& got, const EnumCursor& want) {
+  ASSERT_EQ(got.emitted, want.emitted);
+  ASSERT_EQ(got.pruned, want.pruned);
+  ASSERT_EQ(got.frontier.size(), want.frontier.size());
+  for (std::size_t k = 0; k < got.frontier.size(); ++k) {
+    SCOPED_TRACE("frontier state " + std::to_string(k));
+    // Bitwise equal costs: both sum in ascending insertion order.
+    ASSERT_EQ(got.frontier[k].cost, want.frontier[k].cost);
+    ASSERT_EQ(got.frontier[k].members, want.frontier[k].members);
+    ASSERT_EQ(got.frontier[k].max_index, want.frontier[k].max_index);
+  }
+}
+
+/// Pops both streams in lockstep (at most `max_pops` times, 0 = until dry)
+/// and compares every step; the cursors are compared every
+/// `cursor_every` pops and at the end.
+void expect_same_stream(CostOrderedAllocations& flat, ReferenceStream& ref,
+                        std::uint64_t max_pops, std::uint64_t cursor_every) {
+  for (std::uint64_t pop = 1; max_pops == 0 || pop <= max_pops; ++pop) {
+    const std::optional<AllocSet> got = flat.next();
+    const std::optional<AllocSet> want = ref.next();
+    ASSERT_EQ(got.has_value(), want.has_value()) << "pop " << pop;
+    if (!got.has_value()) break;
+    ASSERT_TRUE(*got == *want) << "pop " << pop << ": " << got->to_string()
+                               << " vs " << want->to_string();
+    ASSERT_EQ(flat.pruned(), ref.pruned()) << "pop " << pop;
+    ASSERT_EQ(flat.frontier_size(), ref.frontier_size()) << "pop " << pop;
+    if (pop % cursor_every == 0) {
+      SCOPED_TRACE("cursor after pop " + std::to_string(pop));
+      expect_same_cursor(flat.cursor(), ref.cursor());
+    }
+  }
+  EXPECT_EQ(flat.emitted(), ref.emitted());
+  expect_same_cursor(flat.cursor(), ref.cursor());
+}
+
+/// One process mappable onto `costs.size()` processors with these costs.
+SpecificationGraph units_with_costs(const std::vector<double>& costs) {
+  SpecBuilder b("costs");
+  const NodeId p = b.process("p");
+  for (std::size_t i = 0; i < costs.size(); ++i)
+    b.map(p, b.resource("r" + std::to_string(i), costs[i]), 1.0);
+  return b.build();
+}
+
+void expect_golden_order(const SpecificationGraph& spec,
+                         std::uint64_t cursor_every) {
+  const CompiledSpec& cs = spec.compiled();
+  CostOrderedAllocations flat(cs);
+  ReferenceStream ref(cs, cs.make_alloc_set());
+  expect_same_stream(flat, ref, 0, cursor_every);
+}
+
+TEST(CostOrderedAllocationsGolden, PaperModels) {
+  {
+    SCOPED_TRACE("settop");
+    expect_golden_order(settop(), 997);
+  }
+  {
+    SCOPED_TRACE("decoder");
+    expect_golden_order(models::make_tv_decoder_spec(), 7);
+  }
+}
+
+TEST(CostOrderedAllocationsGolden, RepeatedAndZeroCosts) {
+  std::uint64_t rng = 0x5eed;
+  auto draw = [&rng](std::uint64_t bound) {
+    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (rng >> 33) % bound;
+  };
+  for (int trial = 0; trial < 12; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    std::vector<double> costs(3 + draw(10));
+    // Few distinct values, zero among them: many ties at every cost.
+    for (double& c : costs) c = static_cast<double>(draw(4) * 10);
+    expect_golden_order(units_with_costs(costs), 61);
+  }
+}
+
+TEST(CostOrderedAllocationsGolden, FractionalCostsWhoseSumsCollide) {
+  // 0.1 + 0.2 != 0.3 in binary floating point, while 0.1 + 0.2 summed in
+  // either order is the same double: both streams must agree on every such
+  // near-tie and exact tie.
+  expect_golden_order(
+      units_with_costs({0.1, 0.2, 0.3, 0.1, 0.2, 0.3, 0.6, 0.4, 0.5, 0.7, 0.3}),
+      53);
+}
+
+TEST(CostOrderedAllocationsGolden, FrozenBaseUpgradeStream) {
+  const SpecificationGraph& spec = settop();
+  const CompiledSpec& cs = spec.compiled();
+  AllocSet base = cs.make_alloc_set();
+  for (std::size_t i = 0; i < base.size(); i += 3) base.set(i);
+  CostOrderedAllocations flat(cs, base);
+  ReferenceStream ref(cs, base);
+  expect_same_stream(flat, ref, 0, 101);
+}
+
+TEST(CostOrderedAllocationsGolden, BranchBound) {
+  const SpecificationGraph& spec = settop();
+  const CompiledSpec& cs = spec.compiled();
+  // Both streams must ask the bound about the same potentials in the same
+  // order, so a bound that counts its calls prunes identically too.
+  auto bound = [](std::uint64_t& calls) {
+    return [&calls](const AllocSet& potential) {
+      ++calls;
+      return (potential.hash() ^ calls) % 5 != 0;
+    };
+  };
+  std::uint64_t flat_calls = 0;
+  std::uint64_t ref_calls = 0;
+  CostOrderedAllocations flat(cs);
+  ReferenceStream ref(cs, cs.make_alloc_set());
+  flat.set_branch_bound(bound(flat_calls));
+  ref.set_branch_bound(bound(ref_calls));
+  expect_same_stream(flat, ref, 0, 211);
+  EXPECT_EQ(flat_calls, ref_calls);
+  EXPECT_GT(flat.pruned(), 0u);
+}
+
+TEST(CostOrderedAllocationsGolden, TwoWordUniverse) {
+  // 70 units: members straddle the 64-bit word boundary.  Cheap units sit
+  // at high indices (in the second word), so the first pops mix both words
+  // while the frontier stays small.
+  std::vector<double> costs(70);
+  for (std::size_t j = 0; j < costs.size(); ++j)
+    costs[j] = 1.0 + static_cast<double>((costs.size() - 1 - j) / 3);
+  const SpecificationGraph spec = units_with_costs(costs);
+  const CompiledSpec& cs = spec.compiled();
+  ASSERT_EQ(cs.unit_count(), 70u);
+  CostOrderedAllocations flat(cs);
+  ReferenceStream ref(cs, cs.make_alloc_set());
+  expect_same_stream(flat, ref, 200000, 50000);
+}
+
+TEST(CostOrderedAllocationsGolden, CursorRoundTripContinuesIdentically) {
+  const SpecificationGraph& spec = settop();
+  const CompiledSpec& cs = spec.compiled();
+  CostOrderedAllocations source(cs);
+  for (int i = 0; i < 1234; ++i) ASSERT_TRUE(source.next().has_value());
+  CostOrderedAllocations resumed(cs);
+  resumed.restore(source.cursor());
+  EXPECT_EQ(resumed.emitted(), source.emitted());
+  EXPECT_EQ(resumed.frontier_size(), source.frontier_size());
+  expect_same_cursor(resumed.cursor(), source.cursor());
+  for (;;) {
+    const std::optional<AllocSet> a = source.next();
+    const std::optional<AllocSet> b = resumed.next();
+    ASSERT_EQ(a.has_value(), b.has_value());
+    if (!a.has_value()) break;
+    ASSERT_TRUE(*a == *b);
+    ASSERT_EQ(source.frontier_size(), resumed.frontier_size());
+  }
+  EXPECT_EQ(resumed.emitted(), source.emitted());
 }
 
 TEST(ObviouslyDominated, DanglingBusAndUselessUnit) {

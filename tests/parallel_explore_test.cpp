@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <vector>
 
 #include "explore/allocation_enum.hpp"
@@ -63,6 +64,23 @@ TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
                   .ok());
   for (std::size_t i = 0; i < hits.size(); ++i)
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+}
+
+TEST(ThreadPool, ParallelForClaimsEveryIndexOnceAtScale) {
+  // Mostly near-empty iterations, as in a band of dominance-filtered
+  // candidates: the shared index counter must hand out each index exactly
+  // once however fast the participants race for it.
+  ThreadPool pool(4);
+  std::vector<std::atomic<std::uint8_t>> hits(200000);
+  for (int round = 0; round < 2; ++round) {
+    ASSERT_TRUE(pool.parallel_for(hits.size(), [&](std::size_t i) {
+                      hits[i].fetch_add(1, std::memory_order_relaxed);
+                    })
+                    .ok());
+  }
+  std::size_t wrong = 0;
+  for (const std::atomic<std::uint8_t>& h : hits) wrong += h.load() != 2;
+  EXPECT_EQ(wrong, 0u);
 }
 
 TEST(ThreadPool, SubmitFromWithinTasksAndWaitIdle) {
