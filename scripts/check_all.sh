@@ -8,6 +8,7 @@
 #   5. fuzz harnesses          front-door parsers under ASan+UBSan, ~60s each
 #   6. scripts/check_tidy.sh   clang-tidy profile (skips if not installed)
 #   7. sdf lint                zero-diagnostic gate over examples/specs/
+#   8. explore counters        one-thread stats against the golden file
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -83,6 +84,19 @@ for spec in examples/specs/*.json; do
   echo "lint $spec"
   "$SDF" lint "$spec"
 done
+
+echo "============ explore counters: one-thread stats vs golden ============"
+# Every deterministic counter of a one-thread `sdf explore --json` on the
+# example specs (timings and the band block excluded) must equal the
+# committed scripts/explore_counters.json.  A change that moves one on
+# purpose regenerates the file with the same script and says why.
+python3 scripts/explore_counters.py "$SDF" examples/specs/*.json \
+  > /tmp/sdf_counters.$$
+diff -u scripts/explore_counters.json /tmp/sdf_counters.$$ || {
+  echo "check_all: explore counters moved (see diff above)" >&2
+  exit 1
+}
+rm -f /tmp/sdf_counters.$$
 
 echo "============ binding cache: front equivalence on examples ============"
 # The cache may only change work counters, never verdicts: the JSON front

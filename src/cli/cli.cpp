@@ -388,6 +388,7 @@ int cmd_explore(const std::vector<std::string>& raw, std::ostream& out,
   options.budget.max_solver_nodes = static_cast<std::uint64_t>(max_nodes);
   options.budget.max_allocations = static_cast<std::uint64_t>(max_allocs);
   const std::string checkpoint_path = flags.get("checkpoint");
+  options.build_checkpoint = !checkpoint_path.empty();
   std::optional<ExploreCheckpoint> resume_state;  // outlives the run
   if (flags.get_bool("resume")) {
     if (checkpoint_path.empty()) {

@@ -48,6 +48,11 @@ CostOrderedAllocations::CostOrderedAllocations(const CompiledSpec& cs,
   stride_ = 1 + words_;
   popped_.resize(stride_);
   child_.resize(stride_);
+  if (base_.any()) {
+    base_words_.assign(words_, 0);
+    std::copy(base_.words().begin(), base_.words().end(), base_words_.begin());
+    alloc_.resize(words_);
+  }
   heap_.assign(stride_, 0);  // the empty subset at cost 0
   size_ = 1;
 }
@@ -119,8 +124,8 @@ AllocSet CostOrderedAllocations::to_set(const std::uint64_t* e) const {
   return s;
 }
 
-std::optional<AllocSet> CostOrderedAllocations::next() {
-  if (size_ == 0) return std::nullopt;
+bool CostOrderedAllocations::pop() {
+  if (size_ == 0) return false;
   std::copy_n(entry(0), stride_, popped_.data());
   --size_;
   if (size_ > 0) {
@@ -159,7 +164,31 @@ std::optional<AllocSet> CostOrderedAllocations::next() {
   }
 
   ++emitted_;
+  return true;
+}
+
+std::optional<AllocSet> CostOrderedAllocations::next() {
+  if (!pop()) return std::nullopt;
   return to_set(popped_.data());
+}
+
+std::optional<AllocSet> CostOrderedAllocations::next_undominated(
+    const DominanceContext& ctx, std::uint64_t max_skipped,
+    std::uint64_t& skipped) {
+  SDF_CHECK(ctx.words <= words_, "dominance context of another universe");
+  skipped = 0;
+  while (skipped < max_skipped && pop()) {
+    const std::uint64_t* added = popped_.data() + 1;
+    const std::uint64_t* alloc = added;
+    if (!base_words_.empty()) {
+      for (std::size_t w = 0; w < words_; ++w)
+        alloc_[w] = base_words_[w] | added[w];
+      alloc = alloc_.data();
+    }
+    if (!ctx.dominated(alloc, added)) return to_set(popped_.data());
+    ++skipped;
+  }
+  return std::nullopt;
 }
 
 std::optional<double> CostOrderedAllocations::peek_cost() const {
@@ -220,43 +249,79 @@ void CostOrderedAllocations::restore(const EnumCursor& cursor) {
 }
 
 DominanceContext::DominanceContext(const CompiledSpec& cs)
-    : mappable_unit(cs.mappable_units()) {
-  neighbor_tops.resize(cs.unit_count());
-  for (std::size_t i = 0; i < neighbor_tops.size(); ++i)
-    neighbor_tops[i] = cs.comm_neighbor_tops(AllocUnitId{i});
+    : words((cs.unit_count() + 63) / 64),
+      unmappable(words, 0),
+      comm(words, 0),
+      endpoint_begin(cs.unit_count() + 1, 0) {
+  const auto& units = cs.units();
+  auto set_bit = [](std::vector<std::uint64_t>& v, std::size_t offset,
+                    std::size_t i) {
+    v[offset + i / 64] |= std::uint64_t{1} << (i % 64);
+  };
+  // Functional units by top-level architecture node: a bus endpoint counts
+  // when any of them is allocated.
+  std::vector<std::vector<std::size_t>> functional_on(
+      cs.architecture().node_count());
+  for (std::size_t i = 0; i < units.size(); ++i) {
+    if (units[i].is_comm) {
+      set_bit(comm, 0, i);
+      continue;
+    }
+    if (!cs.mappable_units().test(i)) set_bit(unmappable, 0, i);
+    functional_on[units[i].top.index()].push_back(i);
+  }
+  std::uint32_t masks = 0;
+  for (std::size_t i = 0; i < units.size(); ++i) {
+    endpoint_begin[i] = masks;
+    if (!units[i].is_comm) continue;
+    for (NodeId top : cs.comm_neighbor_tops(AllocUnitId{i})) {
+      const auto& on_top = functional_on[top.index()];
+      if (on_top.empty()) continue;  // can never be an allocated endpoint
+      endpoints.resize(endpoints.size() + words, 0);
+      for (std::size_t f : on_top) set_bit(endpoints, masks * words, f);
+      ++masks;
+    }
+  }
+  endpoint_begin[units.size()] = masks;
 }
 
 DominanceContext::DominanceContext(const SpecificationGraph& spec)
     : DominanceContext(spec.compiled()) {}
 
+bool DominanceContext::dominated(const std::uint64_t* alloc,
+                                 const std::uint64_t* scope) const {
+  for (std::size_t w = 0; w < words; ++w) {
+    const std::uint64_t judged = alloc[w] & scope[w];
+    // Functional unit no process can ever execute on.
+    if ((judged & unmappable[w]) != 0) return true;
+    // Dangling bus: fewer than two distinct allocated functional endpoints
+    // adjacent by architecture edges.
+    for (std::uint64_t bits = judged & comm[w]; bits != 0; bits &= bits - 1) {
+      const std::size_t u = w * 64 + std::countr_zero(bits);
+      std::size_t met = 0;
+      for (std::uint32_t k = endpoint_begin[u];
+           k < endpoint_begin[u + 1] && met < 2; ++k) {
+        const std::uint64_t* mask = endpoints.data() + k * words;
+        for (std::size_t x = 0; x < words; ++x) {
+          if ((alloc[x] & mask[x]) != 0) {
+            ++met;
+            break;
+          }
+        }
+      }
+      if (met < 2) return true;
+    }
+  }
+  return false;
+}
+
 bool obviously_dominated(const CompiledSpec& cs, const DominanceContext& ctx,
                          const AllocSet& alloc, const AllocSet* scope) {
-  const auto& units = cs.units();
-
-  // Which top-level architecture nodes host an allocated functional unit?
-  DynBitset functional_tops(cs.architecture().node_count());
-  alloc.for_each([&](std::size_t i) {
-    if (!units[i].is_comm) functional_tops.set(units[i].top.index());
-  });
-
-  bool dominated = false;
-  alloc.for_each([&](std::size_t i) {
-    if (dominated) return;
-    if (scope != nullptr && !scope->test(i)) return;
-    const AllocUnit& u = units[i];
-    if (u.is_comm) {
-      // Dangling bus: fewer than two distinct allocated functional
-      // endpoints adjacent by architecture edges.
-      std::size_t endpoints = 0;
-      for (NodeId other : ctx.neighbor_tops[i])
-        if (functional_tops.test(other.index())) ++endpoints;
-      if (endpoints < 2) dominated = true;
-    } else if (!ctx.mappable_unit.test(i)) {
-      // Functional unit no process can ever execute on.
-      dominated = true;
-    }
-  });
-  return dominated;
+  SDF_CHECK(alloc.size() == cs.unit_count() &&
+                (scope == nullptr || scope->size() == alloc.size()),
+            "allocation outside the unit universe");
+  const std::uint64_t* words = alloc.words().data();
+  return ctx.dominated(words, scope != nullptr ? scope->words().data() : words);
 }
 
 bool obviously_dominated(const SpecificationGraph& spec,

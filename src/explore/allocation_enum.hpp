@@ -12,7 +12,10 @@
 // obviously not Pareto-optimal [...] are left out"): allocations with a
 // dangling bus (fewer than two allocated endpoints) or a functional unit no
 // process can ever map to are dominated by the same allocation without that
-// unit.
+// unit.  `DominanceContext` runs the test on packed member words, so the
+// stream's `next_undominated` drops such subsets before they ever become
+// an `AllocSet`; EXPLORE draws through it, and only the survivors reach a
+// band slot.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +28,7 @@
 namespace sdf {
 
 class CompiledSpec;
+struct DominanceContext;
 
 /// Serializable snapshot of a `CostOrderedAllocations` stream: the frontier
 /// states still awaiting expansion plus the emit/prune counters.  Restoring
@@ -65,6 +69,19 @@ class CostOrderedAllocations {
   /// emitted subset is the empty allocation.
   [[nodiscard]] std::optional<AllocSet> next();
 
+  /// `next()` with the §5 filter applied inside the stream: pops in the
+  /// same (cost, lex) order, calls the branch bound exactly as `next()`
+  /// does, and returns the first popped subset `ctx` does not reject.  Each
+  /// popped subset is judged with scope = its added units and adjacency in
+  /// base ∪ added — the whole allocation without a base, only the upgrade
+  /// with one (the deployed platform is a sunk cost).  Rejected subsets are
+  /// never materialized; `skipped` receives how many were dropped.  Stops
+  /// after `max_skipped` of them and returns nullopt, as it does when the
+  /// stream runs dry (`frontier_size() == 0` tells the two apart).
+  [[nodiscard]] std::optional<AllocSet> next_undominated(
+      const DominanceContext& ctx, std::uint64_t max_skipped,
+      std::uint64_t& skipped);
+
   /// Subsets emitted so far.
   [[nodiscard]] std::uint64_t emitted() const { return emitted_; }
   /// Subtrees pruned by the branch bound so far.
@@ -99,6 +116,9 @@ class CostOrderedAllocations {
     return heap_.data() + i * stride_;
   }
   [[nodiscard]] bool less(const std::uint64_t* a, const std::uint64_t* b) const;
+  /// Pops the least entry into `popped_` and pushes its children unless the
+  /// branch bound prunes them; false when the stream is exhausted.
+  bool pop();
   void push(const std::uint64_t* e);
   /// Fills the hole at `i` with `e`, moving smaller children up.
   void sift_down(std::size_t i, const std::uint64_t* e);
@@ -112,36 +132,48 @@ class CostOrderedAllocations {
   std::vector<std::uint64_t> heap_;
   std::vector<std::uint64_t> popped_;  ///< scratch: the entry being expanded
   std::vector<std::uint64_t> child_;   ///< scratch: the entry being pushed
+  /// The base as W words; empty without a base (an entry is then the whole
+  /// allocation).
+  std::vector<std::uint64_t> base_words_;
+  std::vector<std::uint64_t> alloc_;   ///< scratch: base ∪ popped members
   AllocSet potential_;                 ///< scratch: the branch bound's input
   BranchBound keep_;
   std::uint64_t emitted_ = 0;
   std::uint64_t pruned_ = 0;
 };
 
-/// Allocation-independent inputs of the §5 dominance filter, precomputed
-/// once per specification: which units any process can map to (one scan of
-/// the mapping edges instead of one per candidate), and each unit's
-/// adjacent top-level architecture nodes (the potential bus endpoints).
-/// All exploration engines build one of these up front and reuse it for
-/// every candidate.
+/// The §5 dominance filter as W-word masks (W = ceil(units / 64)),
+/// precomputed once per specification: which functional units no process
+/// can map to, which units are buses, and for each bus one mask per
+/// distinct adjacent top-level architecture node that hosts functional
+/// units (a potential bus endpoint).  The test itself is a few word
+/// operations and allocates nothing.  All exploration engines build one of
+/// these up front and reuse it for every candidate.
 struct DominanceContext {
-  /// The compiled form copies the index's precomputed bitset and adjacency
-  /// lists; the `SpecificationGraph` form is a shim over `spec.compiled()`.
   explicit DominanceContext(const CompiledSpec& cs);
   explicit DominanceContext(const SpecificationGraph& spec);
 
-  /// Units at least one problem-graph process can map to.
-  DynBitset mappable_unit;
-  /// Per unit: distinct top-level architecture nodes adjacent to the unit's
-  /// top node by architecture edges (either direction).  Only populated for
-  /// communication units — the only ones the filter inspects adjacency for.
-  std::vector<std::vector<NodeId>> neighbor_tops;
+  /// The §5 test on packed member words (`words` words each): true iff a
+  /// unit of `alloc ∩ scope` is a functional unit no process maps to, or a
+  /// bus with fewer than two endpoint masks meeting `alloc`.
+  [[nodiscard]] bool dominated(const std::uint64_t* alloc,
+                               const std::uint64_t* scope) const;
+
+  std::size_t words = 0;
+  std::vector<std::uint64_t> unmappable;  ///< unmappable functional units
+  std::vector<std::uint64_t> comm;        ///< communication units
+  /// Bus u's endpoint masks are entries [endpoint_begin[u],
+  /// endpoint_begin[u + 1]) of `endpoints`, W words each: the functional
+  /// units on one adjacent top node.
+  std::vector<std::uint32_t> endpoint_begin;
+  std::vector<std::uint64_t> endpoints;
 };
 
 /// §5 dominance filter; see file comment.  When `scope` is non-null only
 /// the units in `scope` are examined (adjacency is always judged in the
-/// full allocation) — the incremental explorer uses this to exempt the
-/// already-deployed platform, which is a sunk cost.
+/// full allocation) — upgrade exploration uses this to exempt the
+/// already-deployed platform, which is a sunk cost.  A thin call into
+/// `DominanceContext::dominated`.
 [[nodiscard]] bool obviously_dominated(const CompiledSpec& cs,
                                        const DominanceContext& ctx,
                                        const AllocSet& alloc,

@@ -72,8 +72,10 @@ struct ExploreOptions {
   std::size_t num_threads = 0;
   /// Band capacity for `parallel_explore`: how many candidates are drained
   /// from the stream and evaluated concurrently between two deterministic
-  /// merges.  Larger bands expose more parallelism but evaluate against a
-  /// staler incumbent.  0 = automatic: one candidate per band at one
+  /// merges (a band spans this many drawn candidates, §5-dominated ones
+  /// included, though only the others take a slot).  Larger bands expose
+  /// more parallelism but evaluate against a staler incumbent.
+  /// 0 = automatic: one candidate per band at one
   /// thread; with more threads the capacity starts scaled from
   /// `num_threads` and is grown/shrunk per band by the measured number of
   /// candidates that survive the cheap filters (`next_band_capacity`).  Any
@@ -82,6 +84,10 @@ struct ExploreOptions {
   std::size_t band_capacity = 0;
   /// Anytime limits; the default budget never interrupts anything.
   RunBudget budget;
+  /// Build `ExploreResult::checkpoint` when the budget interrupts the run.
+  /// Listing a large stream frontier can take longer than the budgeted run
+  /// itself, so a caller that will not resume should turn this off.
+  bool build_checkpoint = true;
   /// Resume from a prior interrupted run's checkpoint.  Not owned; must
   /// outlive the call.  The spec and every front-affecting option must
   /// match the checkpointed run (validated via the stored digests).
@@ -150,8 +156,11 @@ struct ExploreStats {
 
   // ---- band block: filled by `parallel_explore`, zero for `explore()` ----
   std::size_t threads = 0;             ///< evaluation threads actually used
-  std::uint64_t bands = 0;             ///< cost bands drained and merged
-  std::size_t peak_band_size = 0;      ///< largest band (candidates)
+  /// Cost bands drained and merged.  Only candidates that survive the §5
+  /// filter take a band slot, so at one thread this is
+  /// `candidates_generated - dominated_skipped`.
+  std::uint64_t bands = 0;
+  std::size_t peak_band_size = 0;      ///< largest band (slots)
   /// Adaptive-band controller activity (zero when the capacity was pinned
   /// or one thread ran): capacity doublings, halvings, and the capacity in
   /// effect for the last band assembled.
@@ -184,7 +193,8 @@ struct ExploreResult {
   /// `stop_reason == kWorkerError` — the merged partial front and the
   /// checkpoint stay valid, so such a run can still be resumed.
   Status status;
-  /// Present iff the run was interrupted by its budget; feed back via
+  /// Present iff the run was interrupted by its budget and
+  /// `ExploreOptions::build_checkpoint` is set; feed back via
   /// `ExploreOptions::resume` to continue bit-identically.
   std::optional<ExploreCheckpoint> checkpoint;
 

@@ -28,6 +28,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Most dominated candidates one `next_undominated` call may drop: the
+/// deadline and cancel state are sampled once per run of skips.
+constexpr std::uint64_t kSkipChunk = 1024;
+
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
@@ -64,7 +68,6 @@ struct BandCandidate {
   /// reported infeasible).
   bool budget_aborted = false;
 
-  std::uint64_t dominated_skipped = 0;
   std::uint64_t possible_allocations = 0;
   std::uint64_t flexibility_estimations = 0;
   std::uint64_t bound_skipped = 0;
@@ -79,35 +82,22 @@ struct EvalContext {
   const CompiledSpec& cs;
   const ExploreOptions& options;
   const ImplementationOptions& impl;
-  const DominanceContext& dominance;
   /// Non-null iff the analyzer's allocation bound filters candidates.
   const SpecAnalysis* bound_analysis;
-  /// The frozen deployed platform in upgrade mode, else nullptr.
-  const AllocSet* base;
   BudgetTracker& tracker;
   /// Read the per-candidate phase timers (only worth it with > 1 thread).
   bool timed;
 };
 
-/// The cheap filters in the paper's order — §5 dominance, the opt-in
-/// analysis bound, activatability, the flexibility-estimate bound.  True
-/// iff the candidate reaches the binding construction.  `committed_f` is
-/// the incumbent after the last merged band; `level_best` shares
-/// implemented flexibilities between concurrent workers, per cost level.
+/// The cheap filters after §5 dominance (applied at band assembly) in the
+/// paper's order — the opt-in analysis bound, activatability, the
+/// flexibility-estimate bound.  True iff the candidate reaches the binding
+/// construction.  `committed_f` is the incumbent after the last merged
+/// band; `level_best` shares implemented flexibilities between concurrent
+/// workers, per cost level.
 bool passes_filters(const EvalContext& ctx, double committed_f,
                     const std::vector<AtomicMax>& level_best,
                     BandCandidate& cand) {
-  if (ctx.options.prune_dominated_allocations) {
-    // Upgrades judge only the added units: the deployed platform is a sunk
-    // cost and may legitimately hold resources the upgrade does not use.
-    std::optional<AllocSet> added;
-    if (ctx.base != nullptr) added = cand.alloc - *ctx.base;
-    if (obviously_dominated(ctx.cs, ctx.dominance, cand.alloc,
-                            added ? &*added : nullptr)) {
-      ++cand.dominated_skipped;
-      return false;
-    }
-  }
   if (ctx.bound_analysis != nullptr &&
       ctx.bound_analysis->allocation_infeasible(cand.alloc)) {
     // Sound proof that no activation of this allocation can be bound.
@@ -307,9 +297,18 @@ ExploreResult run_engine(const SpecificationGraph& spec,
     });
   }
 
-  const EvalContext ctx{cs,       options,  eval_impl,
-                        dominance, analysis_bound ? analysis : nullptr,
-                        run.base, tracker,  timed};
+  const EvalContext ctx{cs, options, eval_impl,
+                        analysis_bound ? analysis : nullptr, tracker, timed};
+  // The §5 filter runs at band assembly: dominated candidates never take a
+  // band slot.  Upgrades judge only the added units (the deployed platform
+  // is a sunk cost and may hold resources the upgrade does not use), which
+  // is also the scope `next_undominated` judges a popped subset with.
+  const bool prune_dominated = options.prune_dominated_allocations;
+  auto dominated = [&](const AllocSet& alloc) {
+    if (run.base == nullptr) return obviously_dominated(cs, dominance, alloc);
+    const AllocSet added = alloc - base;
+    return obviously_dominated(cs, dominance, alloc, &added);
+  };
   // The merge thread helps evaluate via ThreadPool::wait_idle, so the pool
   // holds one worker fewer than the requested thread count.
   std::optional<ThreadPool> pool;
@@ -317,6 +316,14 @@ ExploreResult run_engine(const SpecificationGraph& spec,
 
   std::vector<BandCandidate> band;
   band.reserve(capacity);
+  // Steers the next band's capacity by the implementation attempts of the
+  // band just merged.
+  auto adapt = [&](std::uint64_t attempted) {
+    const std::size_t next = next_band_capacity(capacity, attempted, threads);
+    if (next > capacity) ++result.stats.bands_grown;
+    if (next < capacity) ++result.stats.bands_shrunk;
+    capacity = next;
+  };
   std::vector<AtomicMax> level_best;  // one shared maximum per cost level
   // Stream-order candidates the budget forced us to abandon: the band
   // suffix from the first aborted slot, plus the candidate whose
@@ -331,11 +338,69 @@ ExploreResult run_engine(const SpecificationGraph& spec,
     const auto ta = timed ? Clock::now() : Clock::time_point{};
     band.clear();
     std::size_t levels = 0;
-    while (band.size() < capacity) {
+    // Candidates drawn into this band, dominated ones included: a band
+    // spans `capacity` of them, so bands fall where they would if every
+    // candidate took a slot, and a mostly-dominated stream is drawn no
+    // further past the point where the search stops.
+    std::size_t span = 0;
+    while (band.empty() || span < capacity) {
+      if (span == capacity) {
+        // Every candidate of the band was dominated: there is nothing to
+        // evaluate, and the next band starts here.  The controller still
+        // counts it, with no implementation attempts.
+        if (adaptive_bands) adapt(0);
+        span = 0;
+      }
       std::optional<AllocSet> a;
+      bool judged = false;  // drawn through next_undominated
       if (!pending.empty()) {
         a = std::move(pending.front());
         pending.pop_front();
+      } else if (prune_dominated && max_tie_cost < 0.0) {
+        // Drop a run of dominated candidates inside the stream.  The run
+        // stops short of every cap, so the candidate that meets a cap is
+        // drawn by next() and takes the one-at-a-time path below, exactly
+        // where drawing one candidate at a time would meet it; the chunk
+        // keeps the deadline sampled, and a budget already spent draws
+        // nothing more.  (The equivalents tie walk draws one at a time: it
+        // ends at the first costlier candidate, dominated or not.)
+        std::uint64_t limit =
+            tracker.check() ? std::min(kSkipChunk, tracker.allocations_left())
+                            : 0;
+        if (options.max_candidates != 0) {
+          const std::uint64_t cap = options.max_candidates;
+          limit = std::min(
+              limit, cap - std::min(cap, result.stats.candidates_generated));
+        }
+        // The controller needs every band boundary; a pinned capacity only
+        // those of bands that hold a slot.
+        if (adaptive_bands || !band.empty())
+          limit = std::min<std::uint64_t>(limit, capacity - span);
+        std::uint64_t skipped = 0;
+        a = limit == 0 ? stream.next()
+                       : stream.next_undominated(dominance, limit, skipped);
+        judged = limit != 0;
+        if (skipped > 0) {
+          result.stats.candidates_generated += skipped;
+          result.stats.dominated_skipped += skipped;
+          span = adaptive_bands || !band.empty() ? span + skipped
+                                                 : (span + skipped) % capacity;
+          if (!tracker.charge_allocations(skipped)) {
+            // Deadline or cancel.  The skipped candidates are settled; the
+            // next one is refused like any candidate whose charge fails,
+            // and carries the resume position.  A dry stream leaves
+            // nothing unsettled.
+            if (!a.has_value()) a = stream.next();
+            if (!a.has_value()) {
+              last_band = true;
+              break;
+            }
+            unprocessed.push_back(std::move(*a));
+            interrupted = true;
+            break;
+          }
+        }
+        if (!a.has_value() && stream.frontier_size() != 0) continue;
       } else {
         a = stream.next();
       }
@@ -344,7 +409,7 @@ ExploreResult run_engine(const SpecificationGraph& spec,
         break;
       }
       if (*a == base) continue;  // the stream's base costs no budget
-      if (!tracker.allocation_budget_left()) {
+      if (tracker.allocations_left() == 0) {
         // Probe the cap without tripping the (sticky) tracker: the band
         // assembled so far was already charged and must still evaluate.
         // The kAllocations trip is recorded after the merge.
@@ -372,6 +437,11 @@ ExploreResult run_engine(const SpecificationGraph& spec,
       if (max_tie_cost >= 0.0 && cost > max_tie_cost) {
         last_band = true;
         break;
+      }
+      ++span;
+      if (prune_dominated && !judged && dominated(*a)) {
+        ++result.stats.dominated_skipped;
+        continue;
       }
       // Levels group *consecutive* equal-cost candidates; the incumbent-
       // sharing rules in passes_filters rely on every lower level
@@ -440,7 +510,6 @@ ExploreResult run_engine(const SpecificationGraph& spec,
     for (std::size_t i = 0; i < cutoff; ++i) {
       const BandCandidate& cand = band[i];
       ExploreStats& s = result.stats;
-      s.dominated_skipped += cand.dominated_skipped;
       s.possible_allocations += cand.possible_allocations;
       s.flexibility_estimations += cand.flexibility_estimations;
       s.bound_skipped += cand.bound_skipped;
@@ -506,10 +575,7 @@ ExploreResult run_engine(const SpecificationGraph& spec,
       std::uint64_t attempted = 0;
       for (const BandCandidate& cand : band)
         attempted += cand.implementation_attempts;
-      const std::size_t next = next_band_capacity(capacity, attempted, threads);
-      if (next > capacity) ++result.stats.bands_grown;
-      if (next < capacity) ++result.stats.bands_shrunk;
-      capacity = next;
+      adapt(attempted);
     }
 
     if (cutoff < band.size() && !done) {
@@ -551,7 +617,7 @@ ExploreResult run_engine(const SpecificationGraph& spec,
     // cheapest one the run never finished, so the front is exact below it.
     result.stats.exact_up_to_cost =
         cs.allocation_cost(unprocessed.front()) - base_cost;
-    if (run.base == nullptr) {
+    if (run.base == nullptr && options.build_checkpoint) {
       Result<ExploreCheckpoint> ck =
           build_explore_checkpoint(spec, options, result.front, unprocessed,
                                    stream, checkpoint_counters(result.stats));

@@ -8,7 +8,9 @@
 // candidates, grouped into levels of equal allocation cost), evaluates a
 // band concurrently on a work-stealing thread pool, and then merges the
 // band's results on one thread in the original stream order, applying
-// EXPLORE's acceptance rules.  It is the only cost-ordered candidate loop:
+// EXPLORE's acceptance rules.  The §5 filter runs while a band is drawn:
+// dominated candidates are dropped inside the stream
+// (`next_undominated`) and never take a band slot.  It is the only cost-ordered candidate loop:
 // `explore()` runs it at one thread with a band of one (the paper's
 // one-at-a-time loop), `parallel_explore()` at `num_threads`, and
 // `explore_upgrades()` (incremental.hpp) at one thread over the stream

@@ -50,11 +50,11 @@ bool BudgetTracker::charge_solver_node() {
   return true;
 }
 
-bool BudgetTracker::charge_allocation() {
-  const std::uint64_t n =
-      allocations_.fetch_add(1, std::memory_order_relaxed) + 1;
+bool BudgetTracker::charge_allocations(std::uint64_t n) {
+  const std::uint64_t total =
+      allocations_.fetch_add(n, std::memory_order_relaxed) + n;
   if (exhausted()) return false;
-  if (max_allocations_ != 0 && n > max_allocations_)
+  if (max_allocations_ != 0 && total > max_allocations_)
     return trip(StopReason::kAllocations);
   if (deadline_or_cancel_tripped()) return false;
   return true;

@@ -81,7 +81,12 @@ class BudgetTracker {
 
   /// Charges one candidate allocation (driving thread, once per candidate).
   /// Also samples the deadline/cancellation state.
-  bool charge_allocation();
+  bool charge_allocation() { return charge_allocations(1); }
+
+  /// Charges `n` candidate allocations at once, sampling the deadline and
+  /// cancellation state once per call (runs of candidates the §5 filter
+  /// drops inside the stream are charged this way).
+  bool charge_allocations(std::uint64_t n);
 
   /// Re-checks deadline and cancellation without charging anything.
   bool check();
@@ -96,16 +101,17 @@ class BudgetTracker {
   /// Marks the run stopped because a worker task failed.
   void note_worker_error() { trip(StopReason::kWorkerError); }
 
-  /// True while the allocation cap (if any) still has headroom.  Unlike
+  /// Allocations the cap still admits (UINT64_MAX without a cap).  Unlike
   /// `charge_allocation` this neither charges nor trips: band-based engines
   /// probe the cap *before* drawing the candidate that would exceed it, so
   /// the already-charged band can still be evaluated (a tripped tracker is
   /// sticky and would abort every in-flight solve).
-  [[nodiscard]] bool allocation_budget_left() const {
-    return max_allocations_ == 0 ||
-           allocations_.load(std::memory_order_relaxed) < max_allocations_;
+  [[nodiscard]] std::uint64_t allocations_left() const {
+    if (max_allocations_ == 0) return UINT64_MAX;
+    const std::uint64_t used = allocations_.load(std::memory_order_relaxed);
+    return used < max_allocations_ ? max_allocations_ - used : 0;
   }
-  /// Records the allocation-cap stop detected via `allocation_budget_left`
+  /// Records the allocation-cap stop detected via `allocations_left`
   /// (after the in-flight band has been merged).
   void note_allocations_exhausted() { trip(StopReason::kAllocations); }
 

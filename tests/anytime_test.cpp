@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "explore/allocation_enum.hpp"
 #include "explore/checkpoint.hpp"
 #include "explore/evolutionary.hpp"
 #include "explore/exhaustive.hpp"
@@ -190,6 +191,24 @@ TEST(AnytimeExplore, AllocationBudgetInterruptsWithCertificate) {
   EXPECT_GT(result.stats.exact_up_to_cost, 0.0);
   ASSERT_TRUE(result.checkpoint.has_value());
   EXPECT_FALSE(result.checkpoint->pending.empty());
+}
+
+TEST(AnytimeExplore, CheckpointIsBuiltOnlyWhenAskedFor) {
+  // Listing the stream frontier can outlast the budget itself, so a caller
+  // that will not resume skips it; the run is otherwise the same.
+  ExploreOptions options = full_walk();
+  options.budget.max_allocations = 5;
+  const ExploreResult kept = explore(settop(), options);
+  options.build_checkpoint = false;
+  const ExploreResult dropped = explore(settop(), options);
+  ASSERT_TRUE(dropped.status.ok());
+  ASSERT_TRUE(kept.checkpoint.has_value());
+  EXPECT_FALSE(dropped.checkpoint.has_value());
+  EXPECT_EQ(dropped.stats.stop_reason, StopReason::kAllocations);
+  EXPECT_EQ(dropped.stats.exact_up_to_cost, kept.stats.exact_up_to_cost);
+  EXPECT_EQ(dropped.stats.frontier_remaining, kept.stats.frontier_remaining);
+  expect_same_front(dropped.front, kept.front);
+  expect_same_counters(dropped.stats, kept.stats);
 }
 
 TEST(AnytimeExplore, PartialFrontIsPrefixAndExactBelowBound) {
@@ -421,6 +440,151 @@ TEST(AnytimeExplore, SequentialCheckpointResumesInParallelEngine) {
   ASSERT_TRUE(resumed.status.ok()) << resumed.status.error().message;
   const ExploreResult full = explore(settop(), full_walk());
   expect_same_front(resumed.front, full.front);
+}
+
+// ---- budget positions inside runs of dominated candidates -----------------
+//
+// The engine drops dominated candidates inside the stream, a run at a time,
+// but stops each run short of every cap, so a budget lands exactly where
+// drawing one candidate at a time lands it.  Without the branch bound the
+// engine draws the bare stream, which makes the one-at-a-time position
+// easy to replay: the first `cap` non-empty subsets are the generated
+// candidates, and the next one is the first pending.
+
+struct OneAtATime {
+  std::uint64_t dominated = 0;  ///< among the first `cap` candidates
+  bool last_dominated = false;  ///< the cap-th candidate
+  bool next_dominated = false;  ///< the one after it
+  std::vector<std::uint32_t> next;
+  EnumCursor cursor;  ///< the stream after drawing `next`
+};
+
+OneAtATime draw_one_at_a_time(const CompiledSpec& cs, std::uint64_t cap) {
+  OneAtATime r;
+  const DominanceContext ctx(cs);
+  CostOrderedAllocations stream(cs);
+  std::uint64_t drawn = 0;
+  while (std::optional<AllocSet> a = stream.next()) {
+    if (a->none()) continue;
+    const bool dominated = obviously_dominated(cs, ctx, *a);
+    if (drawn++ == cap) {
+      r.next_dominated = dominated;
+      a->for_each([&](std::size_t i) {
+        r.next.push_back(static_cast<std::uint32_t>(i));
+      });
+      break;
+    }
+    r.dominated += dominated ? 1 : 0;
+    r.last_dominated = dominated;
+  }
+  r.cursor = stream.cursor();
+  return r;
+}
+
+/// Full walk without the branch bound: the engine draws the bare stream.
+ExploreOptions bare_stream_walk() {
+  ExploreOptions options = full_walk();
+  options.use_branch_bound = false;
+  return options;
+}
+
+TEST(AnytimeExplore, AllocationCapInADominatedRunLandsWhereOneAtATimeDoes) {
+  const CompiledSpec& cs = settop().compiled();
+  std::uint64_t inside_runs = 0;
+  for (std::uint64_t cap = 1; cap <= 120; ++cap) {
+    SCOPED_TRACE("max_allocations=" + std::to_string(cap));
+    ExploreOptions options = bare_stream_walk();
+    options.budget.max_allocations = cap;
+    const ExploreResult result = explore(settop(), options);
+    ASSERT_TRUE(result.status.ok());
+    ASSERT_TRUE(result.checkpoint.has_value());
+    const OneAtATime want = draw_one_at_a_time(cs, cap);
+    const ExploreCheckpoint& ck = *result.checkpoint;
+    EXPECT_EQ(result.stats.candidates_generated, cap);
+    EXPECT_EQ(result.stats.dominated_skipped, want.dominated);
+    ASSERT_EQ(ck.pending.size(), 1u);
+    EXPECT_EQ(ck.pending.front(), want.next);
+    EXPECT_EQ(ck.emitted, want.cursor.emitted);
+    ASSERT_EQ(ck.frontier.size(), want.cursor.frontier.size());
+    for (std::size_t k = 0; k < ck.frontier.size(); ++k)
+      ASSERT_EQ(ck.frontier[k], want.cursor.frontier[k].members) << k;
+    if (want.last_dominated && want.next_dominated) ++inside_runs;
+  }
+  EXPECT_GT(inside_runs, 10u);  // most caps do land inside a run
+}
+
+TEST(AnytimeExplore, CandidateCapInADominatedRunLandsWhereOneAtATimeDoes) {
+  const CompiledSpec& cs = settop().compiled();
+  std::uint64_t inside_runs = 0;
+  for (std::uint64_t cap = 1; cap <= 120; ++cap) {
+    SCOPED_TRACE("max_candidates=" + std::to_string(cap));
+    ExploreOptions options = bare_stream_walk();
+    options.max_candidates = cap;
+    const ExploreResult result = explore(settop(), options);
+    ASSERT_TRUE(result.status.ok());
+    EXPECT_FALSE(result.checkpoint.has_value());
+    const OneAtATime want = draw_one_at_a_time(cs, cap);
+    // The candidate over the cap is drawn and counted, then ends the run.
+    EXPECT_EQ(result.stats.candidates_generated, cap + 1);
+    EXPECT_EQ(result.stats.dominated_skipped, want.dominated);
+    EXPECT_EQ(result.stats.frontier_remaining, want.cursor.frontier.size());
+    if (want.last_dominated && want.next_dominated) ++inside_runs;
+  }
+  EXPECT_GT(inside_runs, 10u);
+}
+
+TEST(AnytimeExplore, PreTrippedDeadlineYieldsResumableRun) {
+  // The settop stream opens with runs of dominated single units.  An
+  // expired deadline must stop the run before it drops any of them, with
+  // the refused candidate pending, and resuming must complete it exactly.
+  const ExploreResult full = explore(settop(), full_walk());
+  ExploreOptions options = full_walk();
+  options.budget.deadline_seconds = 1e-9;
+  const ExploreResult stopped = explore(settop(), options);
+  ASSERT_TRUE(stopped.status.ok());
+  EXPECT_EQ(stopped.stats.stop_reason, StopReason::kDeadline);
+  EXPECT_EQ(stopped.stats.candidates_generated, 0u);
+  ASSERT_TRUE(stopped.checkpoint.has_value());
+  ASSERT_EQ(stopped.checkpoint->pending.size(), 1u);
+
+  const ExploreCheckpoint ck = *stopped.checkpoint;
+  ExploreOptions resume = full_walk();
+  resume.resume = &ck;
+  const ExploreResult resumed = explore(settop(), resume);
+  ASSERT_TRUE(resumed.status.ok());
+  EXPECT_FALSE(resumed.checkpoint.has_value());
+  expect_same_front(resumed.front, full.front);
+  expect_same_counters(resumed.stats, full.stats);
+  EXPECT_EQ(resumed.stats.branches_pruned, full.stats.branches_pruned);
+  EXPECT_EQ(resumed.stats.frontier_remaining, full.stats.frontier_remaining);
+}
+
+TEST(AnytimeExplore, CappedChainsMatchTheUninterruptedRunInEveryCounter) {
+  for (const bool branch_bound : {true, false}) {
+    ExploreOptions options = full_walk();
+    options.use_branch_bound = branch_bound;
+    const ExploreResult full = explore(settop(), options);
+    // The bare stream is about five times longer: larger caps keep its
+    // chains short.
+    const std::vector<std::uint64_t> caps =
+        branch_bound ? std::vector<std::uint64_t>{5, 7, 16, 61}
+                     : std::vector<std::uint64_t>{29, 61, 397};
+    for (const std::uint64_t cap : caps) {
+      SCOPED_TRACE("branch_bound=" + std::to_string(branch_bound) +
+                   " max_allocations=" + std::to_string(cap));
+      RunBudget budget;
+      budget.max_allocations = cap;
+      int runs = 0;
+      const ExploreResult chained =
+          run_chain(settop(), options, budget, /*parallel=*/false, &runs);
+      EXPECT_GT(runs, 1);
+      expect_same_front(chained.front, full.front);
+      expect_same_counters(chained.stats, full.stats);
+      EXPECT_EQ(chained.stats.branches_pruned, full.stats.branches_pruned);
+      EXPECT_EQ(chained.stats.frontier_remaining,
+                full.stats.frontier_remaining);
+    }
+  }
 }
 
 // ---- checkpoint serialization ----------------------------------------------

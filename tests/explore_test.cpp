@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <set>
 #include <string>
@@ -20,6 +21,7 @@
 #include "explore/exhaustive.hpp"
 #include "explore/explorer.hpp"
 #include "explore/uncertain.hpp"
+#include "gen/presets.hpp"
 #include "gen/spec_generator.hpp"
 #include "moo/indicators.hpp"
 #include "spec/builder.hpp"
@@ -320,6 +322,205 @@ TEST(CostOrderedAllocationsGolden, CursorRoundTripContinuesIdentically) {
     ASSERT_EQ(source.frontier_size(), resumed.frontier_size());
   }
   EXPECT_EQ(resumed.emitted(), source.emitted());
+}
+
+// ---- golden skipping pop ----------------------------------------------------
+//
+// `reference_dominated` is the §5 filter as it was written on `AllocSet`s
+// before the word-level `DominanceContext` test replaced it.  The skipping
+// pop must equal `next()` of the reference stream filtered by it, call by
+// call: the same survivor, the same skip count, the same counters and
+// frontier.
+
+bool reference_dominated(const CompiledSpec& cs, const AllocSet& alloc,
+                         const AllocSet* scope) {
+  const auto& units = cs.units();
+  DynBitset functional_tops(cs.architecture().node_count());
+  alloc.for_each([&](std::size_t i) {
+    if (!units[i].is_comm) functional_tops.set(units[i].top.index());
+  });
+  bool dominated = false;
+  alloc.for_each([&](std::size_t i) {
+    if (dominated || (scope != nullptr && !scope->test(i))) return;
+    if (units[i].is_comm) {
+      std::size_t endpoints = 0;
+      for (NodeId other : cs.comm_neighbor_tops(AllocUnitId{i}))
+        if (functional_tops.test(other.index())) ++endpoints;
+      dominated = endpoints < 2;
+    } else {
+      dominated = !cs.mappable_units().test(i);
+    }
+  });
+  return dominated;
+}
+
+/// Calls `next_undominated` on `flat` until both streams run dry (or
+/// `flat` has emitted `max_pops` subsets, 0 = no limit), cycling the skip
+/// limit, and checks each call against `ref`.  Adds the skips to `skipped`.
+void expect_same_skipping(const CompiledSpec& cs, const AllocSet& base,
+                          CostOrderedAllocations& flat, ReferenceStream& ref,
+                          std::uint64_t max_pops, std::uint64_t& skipped) {
+  const DominanceContext ctx(cs);
+  const std::uint64_t limits[] = {1024, 1, 3, UINT64_MAX, 2, 64};
+  for (std::uint64_t call = 0; max_pops == 0 || flat.emitted() < max_pops;
+       ++call) {
+    const std::uint64_t limit = limits[call % std::size(limits)];
+    std::uint64_t got_skipped = 0;
+    const std::optional<AllocSet> got =
+        flat.next_undominated(ctx, limit, got_skipped);
+    std::optional<AllocSet> want;
+    std::uint64_t want_skipped = 0;
+    while (want_skipped < limit && (want = ref.next()).has_value()) {
+      const AllocSet added = *want - base;
+      if (!reference_dominated(cs, *want, base.any() ? &added : nullptr))
+        break;
+      want.reset();
+      ++want_skipped;
+    }
+    ASSERT_EQ(got_skipped, want_skipped) << "call " << call;
+    ASSERT_EQ(got.has_value(), want.has_value()) << "call " << call;
+    if (got.has_value()) {
+      ASSERT_TRUE(*got == *want) << "call " << call << ": " << got->to_string()
+                                 << " vs " << want->to_string();
+    }
+    ASSERT_EQ(flat.emitted(), ref.emitted()) << "call " << call;
+    ASSERT_EQ(flat.pruned(), ref.pruned()) << "call " << call;
+    ASSERT_EQ(flat.frontier_size(), ref.frontier_size()) << "call " << call;
+    skipped += got_skipped;
+    if (!got.has_value() && flat.frontier_size() == 0) break;
+  }
+}
+
+/// `units_with_costs` plus §5 structure: unit i is a bus joining units i - 1
+/// and i - 3 when i % 4 == 3, and a resource no process maps to when
+/// i % 4 == 2.
+SpecificationGraph units_with_buses(const std::vector<double>& costs) {
+  SpecBuilder b("buses");
+  const NodeId p = b.process("p");
+  std::vector<NodeId> node;
+  for (std::size_t i = 0; i < costs.size(); ++i) {
+    const std::string name = std::to_string(i);
+    if (i % 4 == 3) {
+      node.push_back(b.bus("b" + name, costs[i], {node[i - 1], node[i - 3]}));
+      continue;
+    }
+    node.push_back(b.resource("r" + name, costs[i]));
+    if (i % 4 != 2) b.map(p, node.back(), 1.0);
+  }
+  return b.build();
+}
+
+void expect_golden_skipping(const SpecificationGraph& spec,
+                            std::uint64_t max_pops = 0) {
+  const CompiledSpec& cs = spec.compiled();
+  CostOrderedAllocations flat(cs);
+  ReferenceStream ref(cs, cs.make_alloc_set());
+  std::uint64_t skipped = 0;
+  expect_same_skipping(cs, cs.make_alloc_set(), flat, ref, max_pops, skipped);
+  EXPECT_GT(skipped, 0u) << "the filter never fired";
+}
+
+TEST(SkippingPopGolden, PaperModels) {
+  {
+    SCOPED_TRACE("settop");
+    expect_golden_skipping(settop());
+  }
+  {
+    SCOPED_TRACE("decoder");
+    expect_golden_skipping(models::make_tv_decoder_spec());
+  }
+}
+
+TEST(SkippingPopGolden, FractionalCostsWhoseSumsCollide) {
+  expect_golden_skipping(units_with_buses(
+      {0.1, 0.2, 0.3, 0.1, 0.2, 0.3, 0.6, 0.4, 0.5, 0.7, 0.3, 0.2}));
+}
+
+TEST(SkippingPopGolden, FrozenBaseUpgradeStream) {
+  // The scope is the added units: a base unit that dangles on its own
+  // (a bus, an unmappable unit) must not reject its supersets.
+  const SpecificationGraph& spec = settop();
+  const CompiledSpec& cs = spec.compiled();
+  AllocSet base = cs.make_alloc_set();
+  for (std::size_t i = 0; i < base.size(); i += 3) base.set(i);
+  ASSERT_TRUE(reference_dominated(cs, base, nullptr));
+  CostOrderedAllocations flat(cs, base);
+  ReferenceStream ref(cs, base);
+  std::uint64_t skipped = 0;
+  expect_same_skipping(cs, base, flat, ref, 0, skipped);
+  EXPECT_GT(skipped, 0u);
+}
+
+TEST(SkippingPopGolden, TwoWordUniverse) {
+  std::vector<double> costs(70);
+  for (std::size_t j = 0; j < costs.size(); ++j)
+    costs[j] = 1.0 + static_cast<double>((costs.size() - 1 - j) / 3);
+  const SpecificationGraph spec = units_with_buses(costs);
+  ASSERT_EQ(spec.compiled().unit_count(), 70u);
+  expect_golden_skipping(spec, 100000);
+}
+
+TEST(SkippingPopGolden, BranchBound) {
+  const SpecificationGraph& spec = settop();
+  const CompiledSpec& cs = spec.compiled();
+  // The bound must be asked about the same potentials in the same order
+  // whether a popped subset is skipped or returned.
+  auto bound = [](std::uint64_t& calls) {
+    return [&calls](const AllocSet& potential) {
+      ++calls;
+      return (potential.hash() ^ calls) % 5 != 0;
+    };
+  };
+  std::uint64_t flat_calls = 0;
+  std::uint64_t ref_calls = 0;
+  CostOrderedAllocations flat(cs);
+  ReferenceStream ref(cs, cs.make_alloc_set());
+  flat.set_branch_bound(bound(flat_calls));
+  ref.set_branch_bound(bound(ref_calls));
+  std::uint64_t skipped = 0;
+  expect_same_skipping(cs, cs.make_alloc_set(), flat, ref, 0, skipped);
+  EXPECT_EQ(flat_calls, ref_calls);
+  EXPECT_GT(flat.pruned(), 0u);
+  EXPECT_GT(skipped, 0u);
+}
+
+TEST(SkippingPopGolden, WordTestAgreesWithReferenceOnEveryPreset) {
+  std::uint64_t rng = 0xd0d0;
+  auto draw = [&rng](std::uint64_t bound) {
+    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (rng >> 33) % bound;
+  };
+  std::uint64_t verdicts[2] = {0, 0};
+  for (const PlatformPreset preset :
+       {PlatformPreset::kSetTopBox, PlatformPreset::kAutomotiveEcu,
+        PlatformPreset::kBasebandDsp, PlatformPreset::kNestedS,
+        PlatformPreset::kNestedM, PlatformPreset::kNestedXl}) {
+    SCOPED_TRACE(preset_name(preset));
+    const SpecificationGraph spec = generate_preset(preset, 1);
+    const CompiledSpec& cs = spec.compiled();
+    const DominanceContext ctx(cs);
+    for (int trial = 0; trial < 300; ++trial) {
+      // From a handful of units to most of the universe.
+      const std::uint64_t per_mille[] = {3, 20, 100, 400, 900};
+      const std::uint64_t density = per_mille[trial % std::size(per_mille)];
+      AllocSet alloc = cs.make_alloc_set();
+      AllocSet scope = cs.make_alloc_set();
+      for (std::size_t i = 0; i < cs.unit_count(); ++i) {
+        if (draw(1000) < density) alloc.set(i);
+        if (draw(2) == 0) scope.set(i);
+      }
+      const bool whole = reference_dominated(cs, alloc, nullptr);
+      ASSERT_EQ(obviously_dominated(cs, ctx, alloc), whole)
+          << "trial " << trial << ": " << alloc.to_string();
+      ASSERT_EQ(obviously_dominated(cs, ctx, alloc, &scope),
+                reference_dominated(cs, alloc, &scope))
+          << "trial " << trial << ": " << alloc.to_string() << " in "
+          << scope.to_string();
+      ++verdicts[whole ? 1 : 0];
+    }
+  }
+  EXPECT_GT(verdicts[0], 0u);
+  EXPECT_GT(verdicts[1], 0u);
 }
 
 TEST(ObviouslyDominated, DanglingBusAndUselessUnit) {

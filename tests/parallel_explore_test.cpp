@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "explore/allocation_enum.hpp"
@@ -20,6 +21,7 @@
 #include "flex/activatability.hpp"
 #include "gen/presets.hpp"
 #include "gen/spec_generator.hpp"
+#include "spec/compiled.hpp"
 #include "spec/paper_models.hpp"
 #include "util/thread_pool.hpp"
 
@@ -235,11 +237,53 @@ TEST(ParallelExplore, OneThreadMatchesExploreInEveryCounter) {
       EXPECT_EQ(a.threads, 0u);
       EXPECT_EQ(a.bands, 0u);
       EXPECT_EQ(b.threads, 1u);
-      EXPECT_EQ(b.bands, b.candidates_generated);
+      // Dominated candidates are dropped inside the stream, so a band of
+      // one holds each candidate that reached a slot.
+      EXPECT_EQ(b.bands, b.candidates_generated - b.dominated_skipped);
       EXPECT_EQ(b.peak_band_size, 1u);
       EXPECT_EQ(b.band_capacity_last, 1u);
     }
   }
+}
+
+TEST(ParallelExplore, BandsSpanDrawnCandidatesDominatedOnesIncluded) {
+  // Dominated candidates take no slot but still count toward a band's
+  // `capacity` drawn candidates, so bands fall where they would if every
+  // candidate took a slot (which keeps the implementations held per band,
+  // and so peak memory, where it was).  Without the branch bound and the
+  // early stop the engine draws the bare stream, so the bands are the
+  // stream's consecutive blocks of `capacity` non-empty subsets that hold
+  // a survivor.
+  const SpecificationGraph& spec = settop();
+  const CompiledSpec& cs = spec.compiled();
+  const std::size_t capacity = 8;
+  const DominanceContext ctx(cs);
+  CostOrderedAllocations stream(cs);
+  std::uint64_t drawn = 0;
+  std::uint64_t bands = 0;
+  std::size_t in_block = 0;
+  std::size_t peak = 0;
+  while (const std::optional<AllocSet> a = stream.next()) {
+    if (a->none()) continue;
+    if (!obviously_dominated(cs, ctx, *a)) ++in_block;
+    if (++drawn % capacity == 0 || stream.frontier_size() == 0) {
+      bands += in_block != 0 ? 1 : 0;
+      peak = std::max(peak, in_block);
+      in_block = 0;
+    }
+  }
+
+  ExploreOptions options;
+  options.stop_at_max_flexibility = false;
+  options.use_branch_bound = false;
+  options.num_threads = 2;
+  options.band_capacity = capacity;
+  const ExploreResult result = parallel_explore(spec, options);
+  ASSERT_TRUE(result.status.ok());
+  EXPECT_EQ(result.stats.candidates_generated, drawn);
+  EXPECT_EQ(result.stats.bands, bands);
+  EXPECT_EQ(result.stats.peak_band_size, peak);
+  EXPECT_LT(bands, (drawn + capacity - 1) / capacity);  // some all-dominated
 }
 
 TEST(ParallelExplore, BandCapacityDoesNotChangeTheResult) {
